@@ -74,6 +74,28 @@ func TestHaltAndResume(t *testing.T) {
 	}
 }
 
+// TestResumeAcrossEngines halts a run on each engine and resumes its
+// snapshot on each engine, the default included: every continuation
+// renders the uninterrupted transcript.
+func TestResumeAcrossEngines(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "fig7.ckpt")
+	straight := transcript(t, sim(t, "-steps", "40000", "-seed", "9"))
+	engines := []string{"batch", "fused", "reference"}
+	for _, writer := range engines {
+		for _, reader := range append([]string{""}, engines...) {
+			sim(t, "-steps", "40000", "-seed", "9", "-shards", "4", "-halt-after", "1",
+				"-checkpoint", ckpt, "-engine", writer)
+			args := []string{"-resume", ckpt}
+			if reader != "" {
+				args = append(args, "-engine", reader)
+			}
+			if transcript(t, sim(t, args...)) != straight {
+				t.Fatalf("%s snapshot resumed with %v diverges from straight run", writer, args)
+			}
+		}
+	}
+}
+
 // TestResumeContinuesShardChain asserts a resumed invocation with
 // -shards picks up the chain where the halt left it.
 func TestResumeContinuesShardChain(t *testing.T) {

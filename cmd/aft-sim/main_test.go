@@ -11,7 +11,7 @@ func TestRunSmallCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, needle := range []string{"running 20000 rounds", "fused engine", "Fig. 7", "time at minimal redundancy"} {
+	for _, needle := range []string{"running 20000 rounds", "batch engine", "Fig. 7", "time at minimal redundancy"} {
 		if !strings.Contains(got, needle) {
 			t.Errorf("output lacks %q", needle)
 		}
@@ -30,8 +30,11 @@ func TestRunEnginesAgreeBelowHeader(t *testing.T) {
 		}
 		return rest
 	}
-	if render("fused") != render("reference") {
-		t.Fatal("fused and reference transcripts diverge below the header")
+	want := render("batch")
+	for _, engine := range []string{"fused", "reference"} {
+		if render(engine) != want {
+			t.Fatalf("%s and batch transcripts diverge below the header", engine)
+		}
 	}
 }
 
@@ -52,5 +55,9 @@ func TestRunRejectsBadEngine(t *testing.T) {
 	}
 	if err := run([]string{"-engine", "reference", "-replicas", "2", "-steps", "1000"}, &out); err == nil {
 		t.Fatal("reference engine accepted for a replica sweep")
+	}
+	err := run([]string{"-engine", "fused", "-replicas", "2", "-steps", "1000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "always uses the batch engine") {
+		t.Fatalf("fused engine for a replica sweep: got %v, want the batch-engine refusal", err)
 	}
 }

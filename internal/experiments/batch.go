@@ -27,6 +27,14 @@
 // (and vice versa via RestoreBatchCampaign), because it writes the
 // exact scalar campaign snapshot schema.
 //
+// Width 1 is the common shape: every campaign job on aft-serve's local
+// pool and on aft-worker, RunAdaptive, and aft-sim's default single
+// runs step a one-lane batch, resuming from LaneSnapshot(0) or from a
+// snapshot any engine wrote. The sweeps (RunBatchParallel, SweepSeeds,
+// the E8/E10 grids) run wide batches. Campaigns driven by an external
+// corruption source — the chaos scenario runner — stay on the fused
+// engine, which the batch does not replace yet.
+//
 // A BatchCampaign holds interior pointers into its own slices (the
 // per-lane storm generators alias stormRng), so it must not be copied
 // after construction.

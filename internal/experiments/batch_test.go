@@ -59,6 +59,16 @@ func TestBatchMatchesScalarDifferential(t *testing.T) {
 	}
 }
 
+// runFused runs cfg to completion on the scalar fused engine.
+func runFused(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		return AdaptiveRunResult{}, err
+	}
+	c.Run(cfg.Steps)
+	return c.Result(), nil
+}
+
 // TestBatchLaneTranscriptsFig6 checks every lane of a sampled batch
 // renders the Fig. 6 staircase byte-identically to the scalar fused
 // engine and the reference loop for the same seed.
@@ -74,7 +84,7 @@ func TestBatchLaneTranscriptsFig6(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		eng, err := RunAdaptive(c)
+		eng, err := runFused(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +115,7 @@ func TestBatchLaneTranscriptsFig7(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		eng, err := RunAdaptive(c)
+		eng, err := runFused(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,17 +368,19 @@ func TestBatchE10MatchesScalarCells(t *testing.T) {
 
 // TestBatchStepZeroAlloc is the batch engine's allocation gate: with
 // sampling off, a steady-state lockstep round allocates nothing, for
-// any width.
+// any width — width 1 being the shape every campaign job runs.
 func TestBatchStepZeroAlloc(t *testing.T) {
 	cfg := DefaultFig7Config(10_000_000)
-	b, err := NewBatchCampaign(cfg, xrand.Seeds(1906, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Run(1000) // reach steady state
-	allocs := testing.AllocsPerRun(20_000, b.Step)
-	if allocs != 0 {
-		t.Fatalf("batch Step allocates %v/round in steady state", allocs)
+	for _, w := range []int{1, 16} {
+		b, err := NewBatchCampaign(cfg, xrand.Seeds(1906, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Run(1000) // reach steady state
+		allocs := testing.AllocsPerRun(20_000, b.Step)
+		if allocs != 0 {
+			t.Fatalf("width-%d batch Step allocates %v/round in steady state", w, allocs)
+		}
 	}
 }
 

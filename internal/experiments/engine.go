@@ -22,9 +22,14 @@
 // and TestRoundFirstKZeroAlloc). Only the rare resize rounds allocate,
 // inside HMAC signing of the resize message.
 //
-// RunAdaptive, the E8/E10 ablations, and the parallel sweeps
-// (SweepSeeds/SweepReplicas) all run on this engine; the pre-engine loop
-// survives as RunAdaptiveReference, the differential-testing oracle.
+// The fused engine is the one that takes an external CorruptionSource
+// or FaultSource (collude and partition rounds), so the chaos scenario
+// runner and aft-chaos -diff run on it. Storm-driven campaigns — every
+// campaign job on aft-serve and aft-worker, RunAdaptive, aft-sim's
+// default single runs, and the sweeps — run on the faster batch engine
+// (batch.go), mostly at width 1; its transcripts and snapshots are the
+// same bytes. The pre-engine loop survives as RunAdaptiveReference, the
+// differential-testing oracle for both.
 package experiments
 
 import (

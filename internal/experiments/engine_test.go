@@ -8,9 +8,9 @@ import (
 	"aft/internal/xrand"
 )
 
-// TestEngineMatchesReferenceFig6 asserts the fused engine reproduces the
-// pre-engine transcript byte for byte on the Fig. 6 staircase, series
-// included.
+// TestEngineMatchesReferenceFig6 asserts RunAdaptive's engine (the
+// width-1 batch) reproduces the pre-engine transcript byte for byte on
+// the Fig. 6 staircase, series included.
 func TestEngineMatchesReferenceFig6(t *testing.T) {
 	cfg := DefaultFig6Config()
 	eng, err := RunAdaptive(cfg)
@@ -44,6 +44,26 @@ func TestEngineMatchesReferenceFig7(t *testing.T) {
 	if eng.Raises != ref.Raises || eng.Lowers != ref.Lowers {
 		t.Fatalf("controller decisions diverge: %d/%d vs %d/%d",
 			eng.Raises, eng.Lowers, ref.Raises, ref.Lowers)
+	}
+}
+
+// TestFusedCampaignMatchesReference pins the fused engine to the
+// reference loop on its own, since RunAdaptive runs on the batch
+// engine: the Fig. 6 staircase and a scaled-down Fig. 7 histogram.
+func TestFusedCampaignMatchesReference(t *testing.T) {
+	for _, cfg := range []AdaptiveRunConfig{DefaultFig6Config(), DefaultFig7Config(300_000)} {
+		fused, err := runFused(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := RunAdaptiveReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := RenderFig6(fused)+RenderFig7(fused, cfg.Policy.Min),
+			RenderFig6(ref)+RenderFig7(ref, cfg.Policy.Min); a != b {
+			t.Fatalf("fused transcript diverges from the reference loop:\n%s\nreference:\n%s", a, b)
+		}
 	}
 }
 

@@ -250,26 +250,27 @@ type AdaptiveRunResult struct {
 }
 
 // RunAdaptive executes the §3.3 autonomic loop for the configured number
-// of rounds on the fused campaign engine (see engine.go): storm
+// of rounds on a width-1 batch campaign (see batch.go): storm
 // generation, first-K corruption, voting, and resize delivery run over
-// preallocated buffers, so rounds off the sampling grid perform zero
-// heap allocations.
+// preallocated struct-of-arrays state, so rounds off the sampling grid
+// perform zero heap allocations. The result is field-identical to the
+// fused engine's and the reference loop's for the same config.
 func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
-	c, err := NewCampaign(cfg)
+	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
 	if err != nil {
 		return AdaptiveRunResult{}, err
 	}
-	c.Run(cfg.Steps)
-	return c.Result(), nil
+	b.RunAll()
+	return b.Result(0), nil
 }
 
 // RunAdaptiveReference is the pre-engine §3.3 loop — per-round ballot
 // slices, a per-round corruption closure, and a map-backed histogram. It
 // is retained verbatim as the differential-testing oracle for the fused
-// engine: for any valid config its result renders byte-identically to
-// RunAdaptive's (asserted by the engine determinism tests), and the
-// benchmark snapshot (BENCH_fig7.json) records its speed as the
-// baseline the engine is measured against.
+// and batch engines: for any valid config its result renders
+// byte-identically to RunAdaptive's (asserted by the engine determinism
+// tests), and the benchmark snapshot (BENCH_fig7.json) records its speed
+// as the baseline the engines are measured against.
 func RunAdaptiveReference(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 	rc, err := NewReferenceCampaign(cfg)
 	if err != nil {

@@ -53,9 +53,26 @@ func uploadHeaders(worker string, token uint64) map[string]string {
 	}
 }
 
+// campaignRun is the method set the hand-driven workers below use: the
+// fused experiments.Campaign has it, and batchLane adapts the width-1
+// batch the real workers run.
+type campaignRun interface {
+	Run(n int64)
+	Rounds() int64
+	Remaining() int64
+	Result() experiments.AdaptiveRunResult
+	Snapshot() (*checkpoint.Snapshot, error)
+}
+
+// batchLane adapts a width-1 experiments.BatchCampaign to campaignRun.
+type batchLane struct{ *experiments.BatchCampaign }
+
+func (b batchLane) Result() experiments.AdaptiveRunResult   { return b.BatchCampaign.Result(0) }
+func (b batchLane) Snapshot() (*checkpoint.Snapshot, error) { return b.LaneSnapshot(0) }
+
 // uploadSnapshot uploads a campaign's current snapshot under the
 // grant's credentials and returns the response.
-func uploadSnapshot(t *testing.T, s *Server, g Grant, c *experiments.Campaign) *httptest.ResponseRecorder {
+func uploadSnapshot(t *testing.T, s *Server, g Grant, c campaignRun) *httptest.ResponseRecorder {
 	t.Helper()
 	snap, err := c.Snapshot()
 	if err != nil {
@@ -103,6 +120,13 @@ func grantCampaign(t *testing.T, g Grant) (*experiments.Campaign, bool) {
 func driveGrant(t *testing.T, s *Server, g Grant) (completed bool) {
 	t.Helper()
 	c, resumed := grantCampaign(t, g)
+	return driveGrantOn(t, s, g, c, resumed)
+}
+
+// driveGrantOn is driveGrant on a campaign the caller materialized, on
+// any engine.
+func driveGrantOn(t *testing.T, s *Server, g Grant, c campaignRun, resumed bool) (completed bool) {
+	t.Helper()
 	for {
 		n := g.CheckpointEvery
 		if r := g.RunTo - c.Rounds(); n > r {

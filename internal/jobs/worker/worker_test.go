@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"aft/internal/checkpoint"
 	"aft/internal/experiments"
 	"aft/internal/jobs"
 	"aft/internal/netchaos"
@@ -497,5 +499,45 @@ func TestWorkerRunsSweepAndScenario(t *testing.T) {
 	if want := jobs.ExecuteSweep(swSt.ID, swSpec.Sweep, nil); swRes.Transcript != want.Transcript ||
 		swRes.State != want.State {
 		t.Fatal("remote sweep result differs from local execution")
+	}
+}
+
+// TestWorkerUploadsBatchCheckpoints pins the engine a fleet worker runs
+// campaigns on: the checkpoint it uploads, stored verbatim by the
+// coordinator, is a batch lane's, and the transcript is the reference
+// loop's.
+func TestWorkerUploadsBatchCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	srv, base := startCoordinator(t, jobs.Options{Dir: dir, CheckpointEvery: 4_000, LeaseTTL: time.Minute})
+	cfg := experiments.DefaultFig7Config(20_000)
+	st, _, err := srv.Submit(jobs.Spec{Kind: jobs.KindCampaign, Campaign: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Run(waitCtx(t), Options{Coordinator: base, Name: "solo", Poll: 2 * time.Millisecond, MaxJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != 1 || stats.Uploads == 0 {
+		t.Fatalf("stats %+v, want one completion after uploads", stats)
+	}
+	res, err := srv.Wait(waitCtx(t), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := experiments.RunAdaptiveReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := jobs.CampaignResult(st.ID, cfg, ref, false); res.Transcript != want.Transcript {
+		t.Fatal("worker transcript differs from the reference loop")
+	}
+	// The store layout (DESIGN.md, "The job server"): jobs/<id>/checkpoint.aftckpt.
+	snap, err := checkpoint.ReadFile(filepath.Join(dir, "jobs", st.ID, "checkpoint.aftckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(snap.Section("meta")); got != "batch" {
+		t.Fatalf("worker uploaded a %q checkpoint, want batch", got)
 	}
 }
