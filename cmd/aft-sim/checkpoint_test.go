@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aft/internal/experiments"
 )
 
 // transcript cuts an aft-sim output down to the Fig. 7 section, the
@@ -65,7 +67,8 @@ func TestHaltAndResume(t *testing.T) {
 		t.Fatal("resumed transcript diverges from straight run")
 	}
 
-	// Cross-engine: the fused snapshot resumes on the reference loop.
+	// Cross-engine: the default engine's snapshot resumes on the
+	// reference loop.
 	halted2 := sim(t, "-steps", "40000", "-seed", "3", "-shards", "4", "-halt-after", "2", "-checkpoint", ckpt)
 	_ = halted2
 	crossResumed := sim(t, "-resume", ckpt, "-engine", "reference")
@@ -74,23 +77,40 @@ func TestHaltAndResume(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossEngines halts a run on each engine and resumes its
-// snapshot on each engine, the default included: every continuation
+// TestResumeAcrossEngines resumes snapshots written on every engine —
+// aft-sim's two and the scalar fused engine earlier versions ran — on
+// each of aft-sim's engines, the default included: every continuation
 // renders the uninterrupted transcript.
 func TestResumeAcrossEngines(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "fig7.ckpt")
+	dir := t.TempDir()
 	straight := transcript(t, sim(t, "-steps", "40000", "-seed", "9"))
-	engines := []string{"batch", "fused", "reference"}
-	for _, writer := range engines {
-		for _, reader := range append([]string{""}, engines...) {
-			sim(t, "-steps", "40000", "-seed", "9", "-shards", "4", "-halt-after", "1",
-				"-checkpoint", ckpt, "-engine", writer)
-			args := []string{"-resume", ckpt}
-			if reader != "" {
-				args = append(args, "-engine", reader)
-			}
+	var ckpts []string
+	for _, writer := range []string{"batch", "reference"} {
+		ckpt := filepath.Join(dir, writer+".ckpt")
+		sim(t, "-steps", "40000", "-seed", "9", "-shards", "4", "-halt-after", "1",
+			"-checkpoint", ckpt, "-engine", writer)
+		ckpts = append(ckpts, ckpt)
+	}
+	fused, err := experiments.NewCampaign(stormConfig(40000, 9, 0, 0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused.Run(10000)
+	snap, err := fused.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "fused.ckpt")
+	if err := snap.WriteFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	ckpts = append(ckpts, ckpt)
+
+	for _, ckpt := range ckpts {
+		for _, reader := range [][]string{nil, {"-engine", "batch"}, {"-engine", "reference"}} {
+			args := append([]string{"-resume", ckpt}, reader...)
 			if transcript(t, sim(t, args...)) != straight {
-				t.Fatalf("%s snapshot resumed with %v diverges from straight run", writer, args)
+				t.Fatalf("aft-sim %v diverges from straight run", args)
 			}
 		}
 	}

@@ -9,9 +9,8 @@
 // (seed, i), never on the worker count.
 //
 // Single runs execute on a width-1 batch campaign (the lockstep
-// struct-of-arrays engine) by default; -engine fused selects the scalar
-// zero-allocation engine and -engine reference the pre-engine loop, for
-// differential runs. The header line names the engine; everything below
+// struct-of-arrays engine) by default; -engine reference selects the
+// pre-engine loop for differential runs. The header line names the engine; everything below
 // it (the Fig. 6/7 transcripts) is byte-identical across engines, so
 // compare with `diff <(aft-sim ... | tail -n +2) <(aft-sim -engine
 // reference ... | tail -n +2)`. The -replicas sweep always runs on
@@ -27,12 +26,13 @@
 // configured length, rendering transcripts byte-identical to an
 // uninterrupted run. -halt-after K stops after K shards (simulating the
 // preemption a later -resume recovers from). Snapshots restore on
-// every engine, whatever engine wrote them.
+// either engine, whatever engine wrote them (the scalar fused engine
+// that earlier versions ran included).
 //
 // Usage:
 //
 //	aft-sim [-steps N] [-seed S] [-sample K] [-storm-every N] [-max-level L]
-//	        [-replicas R] [-parallel W] [-engine batch|fused|reference]
+//	        [-replicas R] [-parallel W] [-engine batch|reference]
 //	        [-checkpoint FILE] [-resume FILE] [-shards N] [-halt-after K]
 package main
 
@@ -57,8 +57,8 @@ func main() {
 }
 
 // campaignRunner is the engine-agnostic shape of a steppable campaign;
-// experiments.Campaign and experiments.ReferenceCampaign satisfy it,
-// and batchRunner adapts a width-1 experiments.BatchCampaign to it.
+// experiments.LaneCampaign and experiments.ReferenceCampaign satisfy
+// it.
 type campaignRunner interface {
 	Run(n int64)
 	Rounds() int64
@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 	maxLevel := fs.Int("max-level", 4, "maximum storm intensity level")
 	replicas := fs.Int("replicas", 1, "independent replicas of the campaign")
 	parallel := fs.Int("parallel", 0, "worker pool for replicas (0 = one per CPU)")
-	engine := fs.String("engine", "batch", "campaign engine for single runs: batch (width-1 lockstep), fused (scalar zero-alloc) or reference (pre-engine loop)")
+	engine := fs.String("engine", "batch", "campaign engine for single runs: batch (width-1 lockstep) or reference (pre-engine loop)")
 	ckpt := fs.String("checkpoint", "", "write a campaign snapshot to FILE (after every shard with -shards)")
 	resume := fs.String("resume", "", "resume the campaign snapshotted in FILE")
 	shards := fs.Int("shards", 1, "split the campaign into N sequential checkpointed shards")
@@ -86,10 +86,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	switch *engine {
-	case "batch", "fused", "reference":
-	default:
-		return fmt.Errorf("unknown engine %q (want batch, fused or reference)", *engine)
+	if *engine != "batch" && *engine != "reference" {
+		return fmt.Errorf("unknown engine %q (want batch or reference)", *engine)
 	}
 
 	if *replicas > 1 {
@@ -176,17 +174,10 @@ func stormConfig(steps int64, seed uint64, sample, stormEvery int64, maxLevel in
 
 // newCampaign builds a fresh campaign on the selected engine.
 func newCampaign(cfg experiments.AdaptiveRunConfig, engine string) (campaignRunner, error) {
-	switch engine {
-	case "fused":
-		return experiments.NewCampaign(cfg)
-	case "reference":
+	if engine == "reference" {
 		return experiments.NewReferenceCampaign(cfg)
 	}
-	b, err := experiments.NewBatchCampaign(cfg, []uint64{cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return batchRunner{b}, nil
+	return experiments.NewLaneCampaign(cfg)
 }
 
 // restoreCampaign loads a snapshot file onto the selected engine.
@@ -195,36 +186,11 @@ func restoreCampaign(path, engine string) (campaignRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch engine {
-	case "fused":
-		return experiments.RestoreCampaign(snap)
-	case "reference":
+	if engine == "reference" {
 		return experiments.RestoreReferenceCampaign(snap)
 	}
-	b, err := experiments.RestoreBatchCampaign([]*checkpoint.Snapshot{snap})
-	if err != nil {
-		return nil, err
-	}
-	return batchRunner{b}, nil
+	return experiments.RestoreLaneCampaign(snap)
 }
-
-// batchRunner adapts a width-1 batch to campaignRunner: its one lane is
-// the campaign.
-type batchRunner struct{ *experiments.BatchCampaign }
-
-// Config returns the lane's complete configuration, seed and policy
-// included.
-func (r batchRunner) Config() experiments.AdaptiveRunConfig {
-	cfg, lane := r.BatchCampaign.Config(), r.Lane(0)
-	cfg.Seed, cfg.Policy = lane.Seed, lane.Policy
-	return cfg
-}
-
-// Result harvests the lane's result.
-func (r batchRunner) Result() experiments.AdaptiveRunResult { return r.BatchCampaign.Result(0) }
-
-// Snapshot writes the lane as a campaign snapshot every engine restores.
-func (r batchRunner) Snapshot() (*checkpoint.Snapshot, error) { return r.LaneSnapshot(0) }
 
 // runSharded drives the campaign shard by shard, rewriting the
 // checkpoint file after each completed shard. With shards == 1 and no

@@ -30,11 +30,8 @@ func TestRunEnginesAgreeBelowHeader(t *testing.T) {
 		}
 		return rest
 	}
-	want := render("batch")
-	for _, engine := range []string{"fused", "reference"} {
-		if render(engine) != want {
-			t.Fatalf("%s and batch transcripts diverge below the header", engine)
-		}
+	if render("batch") != render("reference") {
+		t.Fatal("batch and reference transcripts diverge below the header")
 	}
 }
 
@@ -55,9 +52,5 @@ func TestRunRejectsBadEngine(t *testing.T) {
 	}
 	if err := run([]string{"-engine", "reference", "-replicas", "2", "-steps", "1000"}, &out); err == nil {
 		t.Fatal("reference engine accepted for a replica sweep")
-	}
-	err := run([]string{"-engine", "fused", "-replicas", "2", "-steps", "1000"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "always uses the batch engine") {
-		t.Fatalf("fused engine for a replica sweep: got %v, want the batch-engine refusal", err)
 	}
 }

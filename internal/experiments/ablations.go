@@ -337,7 +337,7 @@ func e8RowFrom(i int, res AdaptiveRunResult) E8Row {
 // the scalar differential oracle the batch-engine E8 rows are tested
 // against.
 func e8Autonomic(steps int64, seed uint64, storms StormConfig) (E8Row, error) {
-	res, err := RunAdaptive(AdaptiveRunConfig{
+	res, err := runFused(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: redundancy.DefaultPolicy(),

@@ -28,8 +28,8 @@
 // exact scalar campaign snapshot schema.
 //
 // Width 1 is the common shape: every campaign job on aft-serve's local
-// pool and on aft-worker, RunAdaptive, and aft-sim's default single
-// runs step a one-lane batch, resuming from LaneSnapshot(0) or from a
+// pool and on aft-worker, RunAdaptive, and aft-sim's single runs step
+// a one-lane batch through LaneCampaign, resuming from a
 // snapshot any engine wrote. The sweeps (RunBatchParallel, SweepSeeds,
 // the E8/E10 grids) run wide batches. Campaigns driven by an external
 // corruption source — the chaos scenario runner — stay on the fused
@@ -525,6 +525,52 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 	b.step = states[0].step
 	return b, nil
 }
+
+// LaneCampaign is a width-1 BatchCampaign behind the scalar campaign
+// method set (Run, Rounds, Remaining, Config, Result, Snapshot): the
+// shape every campaign job, RunAdaptive, and aft-sim's single runs
+// step. Its snapshots are LaneSnapshot(0), so they restore on every
+// engine.
+type LaneCampaign struct{ b *BatchCampaign }
+
+// NewLaneCampaign builds a one-lane batch seeded with cfg.Seed.
+func NewLaneCampaign(cfg AdaptiveRunConfig) (*LaneCampaign, error) {
+	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &LaneCampaign{b}, nil
+}
+
+// RestoreLaneCampaign rebuilds a one-lane batch from a campaign
+// snapshot any engine wrote, with every cross-check of
+// RestoreBatchCampaign.
+func RestoreLaneCampaign(snap *checkpoint.Snapshot) (*LaneCampaign, error) {
+	b, err := RestoreBatchCampaign([]*checkpoint.Snapshot{snap})
+	if err != nil {
+		return nil, err
+	}
+	return &LaneCampaign{b}, nil
+}
+
+// Run steps the campaign n more rounds.
+func (c *LaneCampaign) Run(n int64) { c.b.Run(n) }
+
+// Rounds reports how many rounds have been stepped so far.
+func (c *LaneCampaign) Rounds() int64 { return c.b.Rounds() }
+
+// Remaining reports how many configured rounds are left.
+func (c *LaneCampaign) Remaining() int64 { return c.b.Remaining() }
+
+// Config returns the campaign's complete configuration, seed and
+// policy included.
+func (c *LaneCampaign) Config() AdaptiveRunConfig { return c.b.laneConfig(0) }
+
+// Result harvests the campaign's result so far.
+func (c *LaneCampaign) Result() AdaptiveRunResult { return c.b.Result(0) }
+
+// Snapshot captures the campaign's complete state.
+func (c *LaneCampaign) Snapshot() (*checkpoint.Snapshot, error) { return c.b.LaneSnapshot(0) }
 
 // RunBatchParallel runs one campaign per seed, all with cfg.Policy, by
 // slicing the seeds into width-lane batches and scheduling the batches

@@ -59,16 +59,6 @@ func TestBatchMatchesScalarDifferential(t *testing.T) {
 	}
 }
 
-// runFused runs cfg to completion on the scalar fused engine.
-func runFused(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
-	c, err := NewCampaign(cfg)
-	if err != nil {
-		return AdaptiveRunResult{}, err
-	}
-	c.Run(cfg.Steps)
-	return c.Result(), nil
-}
-
 // TestBatchLaneTranscriptsFig6 checks every lane of a sampled batch
 // renders the Fig. 6 staircase byte-identically to the scalar fused
 // engine and the reference loop for the same seed.
@@ -160,7 +150,7 @@ func TestBatchLaneSnapshotCrossRestore(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		res, err := RunAdaptive(c)
+		res, err := runFused(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +234,7 @@ func TestScalarSnapshotsRestoreIntoBatch(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		res, err := RunAdaptive(c)
+		res, err := runFused(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,11 +24,13 @@
 //
 // The fused engine is the one that takes an external CorruptionSource
 // or FaultSource (collude and partition rounds), so the chaos scenario
-// runner and aft-chaos -diff run on it. Storm-driven campaigns — every
-// campaign job on aft-serve and aft-worker, RunAdaptive, aft-sim's
-// default single runs, and the sweeps — run on the faster batch engine
-// (batch.go), mostly at width 1; its transcripts and snapshots are the
-// same bytes. The pre-engine loop survives as RunAdaptiveReference, the
+// runner and aft-chaos -diff run on it; it is also the scalar oracle
+// the batch differential tests compare against (runFused). Storm-driven
+// campaigns — every campaign job on aft-serve and aft-worker,
+// RunAdaptive, aft-sim's single runs, and the sweeps — run on the
+// faster batch engine (batch.go), mostly at width 1 through
+// LaneCampaign; its transcripts and snapshots are the same bytes. The
+// pre-engine loop survives as RunAdaptiveReference, the
 // differential-testing oracle for both.
 package experiments
 

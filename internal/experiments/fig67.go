@@ -256,12 +256,24 @@ type AdaptiveRunResult struct {
 // perform zero heap allocations. The result is field-identical to the
 // fused engine's and the reference loop's for the same config.
 func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
-	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
+	c, err := NewLaneCampaign(cfg)
 	if err != nil {
 		return AdaptiveRunResult{}, err
 	}
-	b.RunAll()
-	return b.Result(0), nil
+	c.Run(cfg.Steps)
+	return c.Result(), nil
+}
+
+// runFused runs cfg to completion on the scalar fused engine. It is the
+// scalar differential oracle the batch engine is tested against, now
+// that RunAdaptive itself runs on a batch.
+func runFused(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		return AdaptiveRunResult{}, err
+	}
+	c.Run(cfg.Steps)
+	return c.Result(), nil
 }
 
 // RunAdaptiveReference is the pre-engine §3.3 loop — per-round ballot

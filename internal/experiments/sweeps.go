@@ -231,7 +231,7 @@ func e10RowFrom(la int, res AdaptiveRunResult) E10Row {
 func e10Row(steps int64, seed uint64, storms StormConfig, la int) (E10Row, error) {
 	policy := redundancy.DefaultPolicy()
 	policy.LowerAfter = la
-	res, err := RunAdaptive(AdaptiveRunConfig{
+	res, err := runFused(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: policy,

@@ -33,7 +33,7 @@ func referenceResult(t *testing.T, id string, cfg experiments.AdaptiveRunConfig,
 // it covers.
 func checkpointRounds(t *testing.T, snap *checkpoint.Snapshot) int64 {
 	t.Helper()
-	c, err := RestoreCampaignEngine(snap)
+	c, err := experiments.RestoreLaneCampaign(snap)
 	if err != nil {
 		t.Fatalf("stored checkpoint does not restore: %v", err)
 	}
@@ -192,21 +192,21 @@ func TestFleetChainAcceptsFusedUploadMidChain(t *testing.T) {
 	// batchGrant materializes a grant on the engine real workers run.
 	batchGrant := func(g Grant) (campaignRun, bool) {
 		if len(g.Checkpoint) == 0 {
-			b, err := NewCampaignEngine(*g.Spec.Campaign)
+			c, err := experiments.NewLaneCampaign(*g.Spec.Campaign)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return batchLane{b}, false
+			return c, false
 		}
 		snap, err := checkpoint.Decode(g.Checkpoint)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RestoreCampaignEngine(snap)
+		c, err := experiments.RestoreLaneCampaign(snap)
 		if err != nil {
 			t.Fatalf("restore shipped checkpoint: %v", err)
 		}
-		return batchLane{b}, true
+		return c, true
 	}
 
 	for shard, engine := range []string{"batch", "fused", "batch"} {

@@ -369,12 +369,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad snapshot: " + err.Error()})
 		return
 	}
-	c, err := RestoreCampaignEngine(snap)
+	c, err := experiments.RestoreLaneCampaign(snap)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "snapshot does not restore: " + err.Error()})
 		return
 	}
-	if campaignConfig(c) != *j.spec.Campaign {
+	if c.Config() != *j.spec.Campaign {
 		writeJSON(w, http.StatusBadRequest,
 			errorReply{Error: fmt.Sprintf("snapshot describes a different campaign than job %s", id)})
 		return

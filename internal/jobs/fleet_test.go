@@ -53,9 +53,9 @@ func uploadHeaders(worker string, token uint64) map[string]string {
 	}
 }
 
-// campaignRun is the method set the hand-driven workers below use: the
-// fused experiments.Campaign has it, and batchLane adapts the width-1
-// batch the real workers run.
+// campaignRun is the method set the hand-driven workers below use:
+// both the fused experiments.Campaign and the width-1
+// experiments.LaneCampaign the real workers run have it.
 type campaignRun interface {
 	Run(n int64)
 	Rounds() int64
@@ -63,12 +63,6 @@ type campaignRun interface {
 	Result() experiments.AdaptiveRunResult
 	Snapshot() (*checkpoint.Snapshot, error)
 }
-
-// batchLane adapts a width-1 experiments.BatchCampaign to campaignRun.
-type batchLane struct{ *experiments.BatchCampaign }
-
-func (b batchLane) Result() experiments.AdaptiveRunResult   { return b.BatchCampaign.Result(0) }
-func (b batchLane) Snapshot() (*checkpoint.Snapshot, error) { return b.LaneSnapshot(0) }
 
 // uploadSnapshot uploads a campaign's current snapshot under the
 // grant's credentials and returns the response.

@@ -4,13 +4,12 @@
 // scenarios over HTTP/JSON, executes them on a bounded worker pool, and
 // survives being killed at any instant.
 //
-// Campaigns run on a width-1 experiments.BatchCampaign, on the local
-// pool and on the fleet workers alike (NewCampaignEngine,
-// RestoreCampaignEngine); chaos scenario jobs run on the scenario
-// runner's fused engine.
+// Campaigns run on a width-1 batch (experiments.LaneCampaign), on the
+// local pool and on the fleet workers alike; chaos scenario jobs run on
+// the scenario runner's fused engine.
 //
 // Durability is checkpoint-backed, not best-effort: a running campaign
-// snapshots through BatchCampaign.LaneSnapshot and internal/checkpoint
+// snapshots through LaneCampaign.Snapshot and internal/checkpoint
 // every CheckpointEvery rounds, the job store is a crash-safe on-disk
 // layout (spec, checkpoint, and result each written by atomic rename),
 // and a restarted server resumes every in-flight campaign from its last

@@ -14,39 +14,10 @@ import (
 	"fmt"
 	"strings"
 
-	"aft/internal/checkpoint"
 	"aft/internal/experiments"
 	"aft/internal/scenario"
 	"aft/internal/scenario/gen"
 )
-
-// Campaign jobs run on a width-1 experiments.BatchCampaign, on the
-// local pool and the fleet workers alike. A batch lane renders the
-// transcript bytes of the fused and reference engines, several times
-// faster, and LaneSnapshot writes the engine-agnostic campaign snapshot
-// schema — so a checkpoint written by any engine, including a store
-// from before jobs ran on the batch engine, resumes here.
-
-// NewCampaignEngine builds the engine a campaign job runs on.
-func NewCampaignEngine(cfg experiments.AdaptiveRunConfig) (*experiments.BatchCampaign, error) {
-	return experiments.NewBatchCampaign(cfg, []uint64{cfg.Seed})
-}
-
-// RestoreCampaignEngine rebuilds a campaign job's engine from a
-// checkpoint taken on any engine. The restore runs every snapshot
-// cross-check of experiments.RestoreBatchCampaign.
-func RestoreCampaignEngine(snap *checkpoint.Snapshot) (*experiments.BatchCampaign, error) {
-	return experiments.RestoreBatchCampaign([]*checkpoint.Snapshot{snap})
-}
-
-// campaignConfig is the complete configuration of a campaign job's
-// engine, seed and policy included: the shared batch configuration
-// with the lane's own seed and policy.
-func campaignConfig(c *experiments.BatchCampaign) experiments.AdaptiveRunConfig {
-	cfg, lane := c.Config(), c.Lane(0)
-	cfg.Seed, cfg.Policy = lane.Seed, lane.Policy
-	return cfg
-}
 
 // campaignSummary is the structured half of a campaign result.
 type campaignSummary struct {

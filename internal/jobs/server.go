@@ -134,7 +134,7 @@ type job struct {
 	// the job's on-disk checkpoint, so the worker that picks the job up
 	// does not read and restore the same snapshot a second time.
 	// Guarded by Server.mu; consumed (nilled) by the worker.
-	restored *experiments.BatchCampaign
+	restored *experiments.LaneCampaign
 
 	// submittedAt is when this server process accepted the job (zero
 	// for jobs recovered from a previous process — their end-to-end
@@ -333,7 +333,7 @@ func (s *Server) replay() {
 		// decodes but fails the campaign cross-checks is discarded here
 		// exactly as a worker would discard it: the job recomputes from
 		// round zero rather than failing or lying.
-		c, err := RestoreCampaignEngine(snap)
+		c, err := experiments.RestoreLaneCampaign(snap)
 		s.mu.Lock()
 		if err != nil {
 			s.notes = append(s.notes,
@@ -968,7 +968,7 @@ func (s *Server) runCampaign(j *job) bool {
 			// fatal: the snapshot is a cache of a deterministic
 			// computation, so the honest response to damage is
 			// recomputing from round zero.
-			if restored, err := RestoreCampaignEngine(snap); err == nil {
+			if restored, err := experiments.RestoreLaneCampaign(snap); err == nil {
 				c = restored
 				resumed = true
 				j.rounds.Store(c.Rounds())
@@ -980,7 +980,7 @@ func (s *Server) runCampaign(j *job) bool {
 		s.resumedJobs.Inc()
 	}
 	if c == nil {
-		fresh, err := NewCampaignEngine(cfg)
+		fresh, err := experiments.NewLaneCampaign(cfg)
 		if err != nil {
 			s.fail(j, err)
 			return true
@@ -1037,14 +1037,14 @@ func (s *Server) runCampaign(j *job) bool {
 		}
 	}
 
-	s.finalize(j, CampaignResult(j.id, cfg, c.Result(0), resumed))
+	s.finalize(j, CampaignResult(j.id, cfg, c.Result(), resumed))
 	return true
 }
 
 // writeCampaignCheckpoint snapshots a campaign durably and records the
 // covered rounds.
-func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.BatchCampaign) error {
-	snap, err := c.LaneSnapshot(0)
+func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.LaneCampaign) error {
+	snap, err := c.Snapshot()
 	if err != nil {
 		return err
 	}

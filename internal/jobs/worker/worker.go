@@ -183,12 +183,12 @@ func (w *worker) execute(ctx context.Context, g jobs.Grant) {
 // transcripts match byte for byte.
 func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 	cfg := *g.Spec.Campaign
-	var c *experiments.BatchCampaign
+	var c *experiments.LaneCampaign
 	resumed := false
 	if len(g.Checkpoint) > 0 {
 		snap, err := checkpoint.Decode(g.Checkpoint)
 		if err == nil {
-			c, err = jobs.RestoreCampaignEngine(snap)
+			c, err = experiments.RestoreLaneCampaign(snap)
 		}
 		if err != nil {
 			// The coordinator verified this snapshot before shipping it,
@@ -200,7 +200,7 @@ func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 		resumed = true
 	}
 	if c == nil {
-		fresh, err := jobs.NewCampaignEngine(cfg)
+		fresh, err := experiments.NewLaneCampaign(cfg)
 		if err != nil {
 			w.complete(ctx, g, &jobs.Result{
 				ID: g.Job, Kind: g.Kind, State: jobs.StateFailed, Error: err.Error(),
@@ -239,7 +239,7 @@ func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 			c.Run(n)
 		}
 		if c.Remaining() == 0 {
-			w.complete(ctx, g, jobs.CampaignResult(g.Job, cfg, c.Result(0), resumed))
+			w.complete(ctx, g, jobs.CampaignResult(g.Job, cfg, c.Result(), resumed))
 			return
 		}
 		reply, ok := w.upload(ctx, g, c)
@@ -261,9 +261,9 @@ func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 // upload streams the campaign's current snapshot to the coordinator,
 // retrying transport errors (re-delivery is idempotent) until the
 // context ends or the lease is fenced.
-func (w *worker) upload(ctx context.Context, g jobs.Grant, c *experiments.BatchCampaign) (jobs.UploadReply, bool) {
+func (w *worker) upload(ctx context.Context, g jobs.Grant, c *experiments.LaneCampaign) (jobs.UploadReply, bool) {
 	var reply jobs.UploadReply
-	snap, err := c.LaneSnapshot(0)
+	snap, err := c.Snapshot()
 	if err != nil {
 		w.abandon(g, fmt.Errorf("snapshot: %v", err))
 		return reply, false
