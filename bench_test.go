@@ -171,28 +171,11 @@ func BenchmarkE10HysteresisSweep(b *testing.B) {
 
 // --- microbenchmarks on the hot paths ----------------------------------
 
-// BenchmarkAdaptiveRound measures one round of the fused §3.3 campaign
-// engine — storm draw, first-K corruption, vote, controller observation
-// — the operation the 65-million-round Fig. 7 campaign repeats. The
-// consensus path must report 0 allocs/op (also asserted by
-// TestCampaignStepZeroAlloc); compare with
-// BenchmarkAdaptiveRoundReference for the seed path.
-func BenchmarkAdaptiveRound(b *testing.B) {
-	eng, err := experiments.NewCampaign(experiments.DefaultFig7Config(1_000_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
-// benchSwitchboard builds the 3-replica switchboard both consensus-step
-// benchmarks share.
-func benchSwitchboard(b *testing.B) *redundancy.Switchboard {
-	b.Helper()
+// BenchmarkConsensusStepReference measures the reference loop's
+// per-round path on a consensus round: a fresh ballot slice every round
+// through Switchboard.Step. BenchmarkBatchStep/w1 is the batch engine's
+// counterpart.
+func BenchmarkConsensusStepReference(b *testing.B) {
 	farm, err := voting.NewFarm(3, func(v uint64) uint64 { return v })
 	if err != nil {
 		b.Fatal(err)
@@ -201,27 +184,6 @@ func benchSwitchboard(b *testing.B) *redundancy.Switchboard {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sb
-}
-
-// BenchmarkConsensusStep measures the engine's consensus step through
-// the switchboard (reusable ballot buffer, map-free tally): the exact
-// work BenchmarkConsensusStepReference does on the seed path, minus the
-// garbage. Must report 0 allocs/op.
-func BenchmarkConsensusStep(b *testing.B) {
-	sb := benchSwitchboard(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb.StepFirstK(uint64(i), 0, nil)
-	}
-}
-
-// BenchmarkConsensusStepReference measures the seed per-round path on
-// the same consensus round: a fresh ballot slice every round through
-// Switchboard.Step.
-func BenchmarkConsensusStepReference(b *testing.B) {
-	sb := benchSwitchboard(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -400,11 +362,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 }
 
 // BenchmarkBatchStep measures one lockstep round of the batch campaign
-// engine at several widths, reporting ns/lane-round — directly
-// comparable with BenchmarkAdaptiveRound's ns/op (one scalar fused
-// round). The wider variants amortize the per-round loop overhead and
-// keep each lane's SoA state hot; all widths must report 0 allocs/op
-// (also gated by TestBatchStepZeroAlloc).
+// engine at several widths, reporting ns/lane-round. Width 1 is the
+// shape every campaign job runs (experiments.Campaign); the wider
+// variants amortize the per-round loop overhead and keep each lane's
+// SoA state hot. All widths must report 0 allocs/op (also gated by
+// TestBatchStepZeroAlloc).
 func BenchmarkBatchStep(b *testing.B) {
 	for _, width := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|bench7|benchbatch|all] [-steps N]
-//	          [-seed S] [-parallel W] [-batch-width W] [-bench-out FILE]
-//	          [-cache DIR] [-trajectory FILE]
+//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|e9|e10|benchbatch|all] [-steps N]
+//	          [-seed S] [-parallel W] [-batch-width W] [-cache DIR]
+//	          [-trajectory FILE]
 //
 // -steps applies to the Fig. 7 run; pass 65000000 for the paper's full
 // 65-million-step experiment. -parallel runs the independent-trial
@@ -19,22 +19,15 @@
 // from the cache and only fresh cells run. The rows are byte-identical
 // with and without the cache.
 //
-// -fig bench7 times the §3.3 campaign hot path on both the fused
-// zero-allocation engine and the pre-engine reference loop, and writes a
-// JSON snapshot (ns/round, allocs/round, rounds/sec, speedup) to
-// -bench-out so the perf trajectory is tracked PR over PR; it also
-// appends a dated entry to -trajectory, the append-only perf history
-// (the snapshot alone is a single overwritten point). It is not part of
-// "all".
-//
 // -fig benchbatch measures the batch-lockstep campaign engine across a
 // cores × batch-width grid: for every (cores, width) point it runs a
 // width-lane sweep per worker through RunBatchParallel, checks lane 0's
-// Fig. 7 transcript against the scalar engine, and appends one
-// trajectory entry per point (with cores and batch_width fields)
-// reporting aggregate lane-rounds/sec and the speedup over the scalar
-// single-core baseline. -batch-width W collapses the width axis to the
-// single value W. Not part of "all".
+// Fig. 7 transcript against the reference loop, and appends one dated
+// entry per point (with cores and batch_width fields) to -trajectory,
+// the append-only perf history, reporting aggregate lane-rounds/sec and
+// the speedup over the reference loop's single-core baseline.
+// -batch-width W collapses the width axis to the single value W. Not
+// part of "all".
 //
 // -serve-load ignores -fig and runs the aft-serve load harness instead:
 // an in-process jobs server driven by -load-jobs concurrent burst
@@ -70,14 +63,13 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("aft-bench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which artefact to regenerate: 4, 5, 6, 7, e5..e10, bench7, benchbatch, all")
+	fig := fs.String("fig", "all", "which artefact to regenerate: 4, 5, 6, 7, e5..e10, benchbatch, all")
 	steps := fs.Int64("steps", 2_000_000, "rounds for the Fig. 7 run (paper: 65000000)")
 	seed := fs.Uint64("seed", 1906, "random seed")
 	parallel := fs.Int("parallel", 1, "worker pool for the E8/E9/E10 sweeps: 1 = serial, 0 = one per CPU, N = N workers")
 	batchWidth := fs.Int("batch-width", 0, "lanes per batch for -fig benchbatch: 0 sweeps {1,8,16,32}, W measures only width W")
-	benchOut := fs.String("bench-out", "BENCH_fig7.json", "where -fig bench7 writes its JSON snapshot")
 	cacheDir := fs.String("cache", "", "memoize E8/E9/E10 sweep cells in DIR, content-addressed by spec hash + seed (empty = no cache)")
-	trajectory := fs.String("trajectory", "BENCH_trajectory.json", "append-only perf history -fig bench7 extends (empty = skip)")
+	trajectory := fs.String("trajectory", "BENCH_trajectory.json", "append-only perf history -fig benchbatch and -serve-load extend (empty = skip)")
 	serveLoad := fs.Bool("serve-load", false, "run the aft-serve load harness (fifo baseline then fair scheduler) and append both results to -trajectory")
 	loadJobs := fs.Int("load-jobs", 1000, "serve-load: burst jobs, one concurrent submitter each")
 	loadClients := fs.Int("load-clients", 8, "serve-load: burst client IDs the submitters are spread across")
@@ -200,9 +192,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprint(stdout, experiments.RenderE10(rows))
 			return nil
 		},
-		"bench7": func() error {
-			return runBench7(*steps, *seed, *benchOut, *trajectory, stdout)
-		},
 		"benchbatch": func() error {
 			return runBenchBatch(*steps, *seed, *batchWidth, *trajectory, stdout)
 		},
@@ -223,7 +212,7 @@ func run(args []string, stdout io.Writer) error {
 	if *fig != "all" {
 		r, ok := runners[*fig]
 		if !ok {
-			return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, e5..e10, bench7, benchbatch, all)", *fig)
+			return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, e5..e10, benchbatch, all)", *fig)
 		}
 		if err := r(); err != nil {
 			return err
@@ -243,14 +232,14 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// trajectoryEntry is one dated point of the append-only perf history.
-// bench7 entries leave Cores and BatchWidth zero (scalar, single
-// campaign); benchbatch entries set both, turning the file into the
-// cores × batch-width scaling record of the batch engine. For a
-// benchbatch entry, EngineNs and RoundsSec are per lane-round and
-// aggregate lane-rounds/sec, RefNs is the scalar fused engine's
-// single-core ns/round on the same host, and Speedup is aggregate
-// batch throughput over that scalar baseline.
+// trajectoryEntry is one dated benchbatch point of the append-only perf
+// history, the cores × batch-width scaling record of the batch engine.
+// EngineNs and RoundsSec are per lane-round and aggregate
+// lane-rounds/sec, RefNs is the reference loop's single-core ns/round
+// on the same host, and Speedup is aggregate batch throughput over
+// that baseline. Older entries also include single-campaign scalar
+// points, which leave Cores and BatchWidth zero, and benchbatch points
+// whose RefNs timed the fused scalar engine (see OPERATIONS.md).
 type trajectoryEntry struct {
 	Date       string  `json:"date"`
 	Steps      int64   `json:"steps"`
@@ -267,8 +256,9 @@ type trajectoryEntry struct {
 // appendTrajectory extends the perf-history file with one entry. The
 // file is a JSON array; a missing file starts a new history, a corrupt
 // one is an error (history should never be silently discarded). The
-// history holds entries of several schemas (bench7, benchbatch,
-// serve-load), so existing entries pass through as raw JSON — an
+// history holds entries of several schemas (benchbatch, serve-load,
+// and older scalar snapshots), so existing entries pass through as raw
+// JSON — an
 // appender must never strip fields it does not know about.
 func appendTrajectory(path string, e any) error {
 	var entries []json.RawMessage
@@ -296,136 +286,6 @@ func appendTrajectory(path string, e any) error {
 	return checkpoint.WriteFileAtomic(path, append(out, '\n'))
 }
 
-// benchSnapshot is the BENCH_fig7.json schema: the §3.3 campaign hot
-// path measured on the fused engine and the reference loop, plus the
-// campaign's own sanity metrics so a perf gain that breaks the science
-// is visible in the same file.
-type benchSnapshot struct {
-	Experiment string `json:"experiment"`
-	Steps      int64  `json:"steps"`
-	Seed       uint64 `json:"seed"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-
-	Engine    benchRow `json:"engine"`
-	Reference benchRow `json:"reference"`
-	// Speedup is reference ns/round over engine ns/round.
-	Speedup float64 `json:"speedup"`
-
-	// Campaign sanity: both paths must agree on these.
-	Failures      int64   `json:"failures"`
-	Resizes       int64   `json:"resizes"`
-	TimeAtMinimum float64 `json:"time_at_min_redundancy"`
-}
-
-// benchRow is one engine's measurement.
-type benchRow struct {
-	NsPerRound     float64 `json:"ns_per_round"`
-	AllocsPerRound float64 `json:"allocs_per_round"`
-	BytesPerRound  float64 `json:"bytes_per_round"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-}
-
-// measureCampaign times fn over steps rounds, reporting per-round cost
-// from wall time and the allocator's own counters.
-func measureCampaign(steps int64, fn func() error) (benchRow, error) {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	if err := fn(); err != nil {
-		return benchRow{}, err
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	fsteps := float64(steps)
-	return benchRow{
-		NsPerRound:     float64(elapsed.Nanoseconds()) / fsteps,
-		AllocsPerRound: float64(m1.Mallocs-m0.Mallocs) / fsteps,
-		BytesPerRound:  float64(m1.TotalAlloc-m0.TotalAlloc) / fsteps,
-		RoundsPerSec:   fsteps / elapsed.Seconds(),
-	}, nil
-}
-
-// runBench7 benchmarks the Fig. 7 campaign on both engines, writes the
-// snapshot, and appends to the perf history.
-func runBench7(steps int64, seed uint64, out, trajectory string, stdout io.Writer) error {
-	cfg := experiments.DefaultFig7Config(steps)
-	cfg.Seed = seed
-	snap := benchSnapshot{
-		Experiment: "fig7-adaptive-campaign",
-		Steps:      cfg.Steps,
-		Seed:       cfg.Seed,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-
-	fmt.Fprintf(stdout, "bench7: %d rounds per engine (seed %d)\n", cfg.Steps, cfg.Seed)
-	// Both timed regions include campaign construction and result
-	// folding, so the rows are like-for-like even at small -steps.
-	var engRes, refRes experiments.AdaptiveRunResult
-	var resizes int64
-	var err error
-	snap.Engine, err = measureCampaign(cfg.Steps, func() error {
-		eng, err := experiments.NewCampaign(cfg)
-		if err != nil {
-			return err
-		}
-		eng.Run(cfg.Steps)
-		engRes = eng.Result()
-		resizes = eng.Switchboard().Resizes()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	snap.Reference, err = measureCampaign(cfg.Steps, func() error {
-		var err error
-		refRes, err = experiments.RunAdaptiveReference(cfg)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if a, b := experiments.RenderFig7(engRes, cfg.Policy.Min),
-		experiments.RenderFig7(refRes, cfg.Policy.Min); a != b {
-		return fmt.Errorf("bench7: engine and reference transcripts diverge — refusing to snapshot")
-	}
-	snap.Speedup = snap.Reference.NsPerRound / snap.Engine.NsPerRound
-	snap.Failures = engRes.Failures
-	snap.Resizes = resizes
-	snap.TimeAtMinimum = engRes.MinFraction
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := checkpoint.WriteFileAtomic(out, data); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "engine:    %8.1f ns/round  %6.4f allocs/round  %12.0f rounds/sec\n",
-		snap.Engine.NsPerRound, snap.Engine.AllocsPerRound, snap.Engine.RoundsPerSec)
-	fmt.Fprintf(stdout, "reference: %8.1f ns/round  %6.4f allocs/round  %12.0f rounds/sec\n",
-		snap.Reference.NsPerRound, snap.Reference.AllocsPerRound, snap.Reference.RoundsPerSec)
-	fmt.Fprintf(stdout, "speedup:   %.2fx  (snapshot written to %s)\n", snap.Speedup, out)
-	if trajectory != "" {
-		err := appendTrajectory(trajectory, trajectoryEntry{
-			Date:       time.Now().UTC().Format(time.RFC3339),
-			Steps:      snap.Steps,
-			Seed:       snap.Seed,
-			GoMaxProcs: snap.GoMaxProcs,
-			EngineNs:   snap.Engine.NsPerRound,
-			RefNs:      snap.Reference.NsPerRound,
-			Speedup:    snap.Speedup,
-			RoundsSec:  snap.Engine.RoundsPerSec,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "perf history appended to %s\n", trajectory)
-	}
-	return nil
-}
-
 // benchBatchCores picks the cores axis of the benchbatch grid: powers
 // of two up to the machine's CPU count, always ending at the full
 // count. On a 4-core runner this is {1, 2, 4}; a single-core host
@@ -446,8 +306,9 @@ func benchBatchCores() []int {
 // Every grid point runs width lanes per worker (width × cores lanes in
 // total, so each worker owns exactly one batch) for the configured
 // number of rounds, under GOMAXPROCS pinned to the point's core count.
-// The scalar baseline is the fused engine on lane 0's seed, single
-// campaign, and lane 0's Fig. 7 transcript at every grid point must
+// The baseline is the reference loop (RunAdaptiveReference) on lane 0's
+// seed, single campaign, timed including construction and result
+// folding, and lane 0's Fig. 7 transcript at every grid point must
 // match the baseline's — a throughput number from an engine that
 // diverged from the science is worthless, so divergence is a hard
 // error, not a footnote.
@@ -466,23 +327,18 @@ func runBenchBatch(steps int64, seed uint64, batchWidth int, trajectory string, 
 
 	baseCfg := cfg
 	baseCfg.Seed = seeds[0]
-	fmt.Fprintf(stdout, "benchbatch: scalar baseline, %d rounds (seed %d)\n", cfg.Steps, baseCfg.Seed)
-	var baseRes experiments.AdaptiveRunResult
-	baseline, err := measureCampaign(cfg.Steps, func() error {
-		c, err := experiments.NewCampaign(baseCfg)
-		if err != nil {
-			return err
-		}
-		c.Run(baseCfg.Steps)
-		baseRes = c.Result()
-		return nil
-	})
+	fmt.Fprintf(stdout, "benchbatch: reference-loop baseline, %d rounds (seed %d)\n", cfg.Steps, baseCfg.Seed)
+	runtime.GC()
+	t0 := time.Now()
+	baseRes, err := experiments.RunAdaptiveReference(baseCfg)
 	if err != nil {
 		return err
 	}
+	baseSec := time.Since(t0).Seconds()
+	refNs := 1e9 * baseSec / float64(cfg.Steps)
+	refRoundsSec := float64(cfg.Steps) / baseSec
 	baseFig7 := experiments.RenderFig7(baseRes, cfg.Policy.Min)
-	fmt.Fprintf(stdout, "scalar:    %8.1f ns/round  %12.0f rounds/sec\n",
-		baseline.NsPerRound, baseline.RoundsPerSec)
+	fmt.Fprintf(stdout, "reference: %8.1f ns/round  %12.0f rounds/sec\n", refNs, refRoundsSec)
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -498,13 +354,13 @@ func runBenchBatch(steps int64, seed uint64, batchWidth int, trajectory string, 
 			}
 			elapsed := time.Since(t0)
 			if got := experiments.RenderFig7(results[0], cfg.Policy.Min); got != baseFig7 {
-				return fmt.Errorf("benchbatch: cores=%d width=%d: lane 0 transcript diverges from the scalar engine — refusing to record", c, w)
+				return fmt.Errorf("benchbatch: cores=%d width=%d: lane 0 transcript diverges from the reference loop — refusing to record", c, w)
 			}
 			totalRounds := float64(lanes) * float64(cfg.Steps)
 			roundsSec := totalRounds / elapsed.Seconds()
 			laneNs := float64(elapsed.Nanoseconds()) / totalRounds
-			speedup := roundsSec / baseline.RoundsPerSec
-			fmt.Fprintf(stdout, "cores=%d width=%-3d %8.1f ns/lane-round  %12.0f rounds/sec  %6.2fx vs scalar\n",
+			speedup := roundsSec / refRoundsSec
+			fmt.Fprintf(stdout, "cores=%d width=%-3d %8.1f ns/lane-round  %12.0f rounds/sec  %6.2fx vs reference\n",
 				c, w, laneNs, roundsSec, speedup)
 			if trajectory != "" {
 				err := appendTrajectory(trajectory, trajectoryEntry{
@@ -515,7 +371,7 @@ func runBenchBatch(steps int64, seed uint64, batchWidth int, trajectory string, 
 					Cores:      c,
 					BatchWidth: w,
 					EngineNs:   laneNs,
-					RefNs:      baseline.NsPerRound,
+					RefNs:      refNs,
 					Speedup:    speedup,
 					RoundsSec:  roundsSec,
 				})

@@ -35,36 +35,23 @@ func TestRunUnknownFig(t *testing.T) {
 	}
 }
 
-func TestRunBench7WritesSnapshot(t *testing.T) {
+// TestBenchBatchAppendsTrajectory asserts the perf history grows by one
+// dated entry per benchbatch point instead of being overwritten, each
+// carrying the reference-loop baseline it was measured against.
+func TestBenchBatchAppendsTrajectory(t *testing.T) {
 	if testing.Short() {
-		t.Skip("bench7 times two engine runs")
+		t.Skip("benchbatch times the reference loop and the batch engine")
 	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	traj := filepath.Join(dir, "trajectory.json")
+	traj := filepath.Join(t.TempDir(), "trajectory.json")
+	args := []string{"-fig", "benchbatch", "-steps", "30000", "-batch-width", "1", "-trajectory", traj}
 	var buf strings.Builder
-	if err := run([]string{"-fig", "bench7", "-steps", "50000", "-bench-out", out, "-trajectory", traj}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "speedup:") {
-		t.Fatalf("bench7 output lacks speedup line:\n%s", buf.String())
-	}
-}
-
-// TestBench7AppendsTrajectory asserts the perf history grows by one
-// dated entry per bench7 run instead of being overwritten.
-func TestBench7AppendsTrajectory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench7 times two engine runs")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	traj := filepath.Join(dir, "trajectory.json")
 	for i := 0; i < 2; i++ {
-		var buf strings.Builder
-		if err := run([]string{"-fig", "bench7", "-steps", "30000", "-bench-out", out, "-trajectory", traj}, &buf); err != nil {
+		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !strings.Contains(buf.String(), "reference:") || !strings.Contains(buf.String(), "vs reference") {
+		t.Fatalf("benchbatch output lacks the reference baseline:\n%s", buf.String())
 	}
 	data, err := os.ReadFile(traj)
 	if err != nil {
@@ -74,20 +61,19 @@ func TestBench7AppendsTrajectory(t *testing.T) {
 	if err := json.Unmarshal(data, &entries); err != nil {
 		t.Fatalf("trajectory is not a JSON array: %v\n%s", err, data)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("trajectory has %d entries after 2 runs", len(entries))
+	if points := 2 * len(benchBatchCores()); len(entries) != points {
+		t.Fatalf("trajectory has %d entries after 2 runs of %d points", len(entries), points/2)
 	}
 	for _, e := range entries {
-		if e["date"] == "" || e["speedup"] == nil {
-			t.Fatalf("entry lacks date/speedup: %v", e)
+		if e["date"] == "" || e["speedup"] == nil || e["reference_ns_per_round"] == nil {
+			t.Fatalf("entry lacks date/speedup/reference: %v", e)
 		}
 	}
 	// A corrupt history must be an error, not silently discarded.
 	if err := os.WriteFile(traj, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := run([]string{"-fig", "bench7", "-steps", "30000", "-bench-out", out, "-trajectory", traj}, &buf); err == nil {
+	if err := run(args, &buf); err == nil {
 		t.Fatal("corrupt trajectory accepted")
 	}
 }

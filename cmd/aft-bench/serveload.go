@@ -55,7 +55,7 @@ type serveLoadOptions struct {
 }
 
 // serveLoadEntry is the trajectory schema for one serve-load run. It
-// shares the file with the bench7/benchbatch entries; appendTrajectory
+// shares the file with the benchbatch entries; appendTrajectory
 // preserves entries of every schema.
 type serveLoadEntry struct {
 	Date           string  `json:"date"`

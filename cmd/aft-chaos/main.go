@@ -2,8 +2,8 @@
 // scenarios of internal/scenario outside `go test`: it executes a
 // builtin scenario (or a JSON spec file) from a seed, prints the
 // canonical event transcript, evaluates the run-time invariants, and
-// can replay the organ track differentially through both the fused
-// campaign engine and the pre-engine reference loop.
+// can replay the organ track differentially through both campaign
+// engines: the width-1 batch engine and the reference loop.
 //
 // Exit status: non-zero when -invariants finds a violation (the message
 // names the invariant and the simulated time), when -diff detects an
@@ -53,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	name := fs.String("scenario", "storm-replay", "builtin scenario name or path to a JSON spec file")
 	seed := fs.Uint64("seed", 0, "seed override (0 = the spec's default)")
 	invariants := fs.Bool("invariants", false, "evaluate invariants and exit non-zero on any violation")
-	diff := fs.Bool("diff", false, "differentially replay the organ track on the fused engine and the reference loop")
+	diff := fs.Bool("diff", false, "differentially replay the organ track on the batch engine and the reference loop")
 	quiet := fs.Bool("quiet", false, "suppress the event transcript, print only the summary lines")
 	printSpec := fs.Bool("print-spec", false, "print the scenario spec as JSON (the -scenario file format) and exit")
 	sabotage := fs.String("sabotage", "", "test-only: deliberately violate the named invariant mid-run")
@@ -118,7 +118,7 @@ func run(args []string, stdout io.Writer) error {
 		if rep.Rounds == 0 {
 			fmt.Fprintln(stdout, "differential: no organ track to compare")
 		} else {
-			fmt.Fprintf(stdout, "differential: fused engine and reference loop agree over %d rounds\n", rep.Rounds)
+			fmt.Fprintf(stdout, "differential: batch engine and reference loop agree over %d rounds\n", rep.Rounds)
 		}
 	}
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"aft/internal/experiments"
+	"aft/internal/checkpoint"
 )
 
 // transcript cuts an aft-sim output down to the Fig. 7 section, the
@@ -77,39 +77,46 @@ func TestHaltAndResume(t *testing.T) {
 	}
 }
 
+// fusedFixture is a snapshot the fused scalar engine of earlier
+// versions wrote (meta "fused"): experiments.DefaultFig7Config(48_000)
+// with SampleEvery 1000 and seed 1906 — aft-sim -steps 48000 -seed 1906
+// -sample 1000 — cut at round 12_000.
+const fusedFixture = "../../internal/experiments/testdata/fused-campaign.ckpt"
+
 // TestResumeAcrossEngines resumes snapshots written on every engine —
-// aft-sim's two and the scalar fused engine earlier versions ran — on
-// each of aft-sim's engines, the default included: every continuation
-// renders the uninterrupted transcript.
+// aft-sim's two and the fused engine earlier versions ran — on each of
+// aft-sim's engines, the default included: every continuation renders
+// the uninterrupted transcripts, the Fig. 6 series included.
 func TestResumeAcrossEngines(t *testing.T) {
+	series := func(out string) string {
+		i := strings.Index(out, "Fig. 6")
+		if i < 0 {
+			t.Fatalf("output has no Fig. 6 series:\n%s", out)
+		}
+		return out[i:]
+	}
 	dir := t.TempDir()
-	straight := transcript(t, sim(t, "-steps", "40000", "-seed", "9"))
+	flags := []string{"-steps", "48000", "-seed", "1906", "-sample", "1000"}
+	straight := series(sim(t, flags...))
 	var ckpts []string
 	for _, writer := range []string{"batch", "reference"} {
 		ckpt := filepath.Join(dir, writer+".ckpt")
-		sim(t, "-steps", "40000", "-seed", "9", "-shards", "4", "-halt-after", "1",
-			"-checkpoint", ckpt, "-engine", writer)
+		sim(t, append(flags, "-shards", "4", "-halt-after", "1", "-checkpoint", ckpt, "-engine", writer)...)
 		ckpts = append(ckpts, ckpt)
 	}
-	fused, err := experiments.NewCampaign(stormConfig(40000, 9, 0, 0, 4))
+	snap, err := checkpoint.ReadFile(fusedFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused.Run(10000)
-	snap, err := fused.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if meta := string(snap.Section("meta")); meta != "fused" {
+		t.Fatalf("fixture meta %q, want fused", meta)
 	}
-	ckpt := filepath.Join(dir, "fused.ckpt")
-	if err := snap.WriteFile(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	ckpts = append(ckpts, ckpt)
+	ckpts = append(ckpts, fusedFixture)
 
 	for _, ckpt := range ckpts {
 		for _, reader := range [][]string{nil, {"-engine", "batch"}, {"-engine", "reference"}} {
 			args := append([]string{"-resume", ckpt}, reader...)
-			if transcript(t, sim(t, args...)) != straight {
+			if series(sim(t, args...)) != straight {
 				t.Fatalf("aft-sim %v diverges from straight run", args)
 			}
 		}

@@ -57,7 +57,7 @@ func main() {
 }
 
 // campaignRunner is the engine-agnostic shape of a steppable campaign;
-// experiments.LaneCampaign and experiments.ReferenceCampaign satisfy
+// experiments.Campaign and experiments.ReferenceCampaign satisfy
 // it.
 type campaignRunner interface {
 	Run(n int64)
@@ -177,7 +177,7 @@ func newCampaign(cfg experiments.AdaptiveRunConfig, engine string) (campaignRunn
 	if engine == "reference" {
 		return experiments.NewReferenceCampaign(cfg)
 	}
-	return experiments.NewLaneCampaign(cfg)
+	return experiments.NewCampaign(cfg)
 }
 
 // restoreCampaign loads a snapshot file onto the selected engine.
@@ -189,7 +189,7 @@ func restoreCampaign(path, engine string) (campaignRunner, error) {
 	if engine == "reference" {
 		return experiments.RestoreReferenceCampaign(snap)
 	}
-	return experiments.RestoreLaneCampaign(snap)
+	return experiments.RestoreCampaign(snap)
 }
 
 // runSharded drives the campaign shard by shard, rewriting the

@@ -332,12 +332,12 @@ func e8RowFrom(i int, res AdaptiveRunResult) E8Row {
 	}
 }
 
-// e8Autonomic runs the adaptive contender; like runFixed, it is an
-// independent trial seeded from scratch. It survives, with runFixed, as
-// the scalar differential oracle the batch-engine E8 rows are tested
-// against.
+// e8Autonomic runs the adaptive contender on the reference loop; like
+// runFixed, it is an independent trial seeded from scratch. It
+// survives, with runFixed, as the differential oracle the batch-engine
+// E8 rows are tested against.
 func e8Autonomic(steps int64, seed uint64, storms StormConfig) (E8Row, error) {
-	res, err := runFused(AdaptiveRunConfig{
+	res, err := RunAdaptiveReference(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: redundancy.DefaultPolicy(),
@@ -354,9 +354,9 @@ func e8Autonomic(steps int64, seed uint64, storms StormConfig) (E8Row, error) {
 	}, nil
 }
 
-// runFixed runs the same disturbance regime against a fixed-size organ.
-// Like the campaign engine it rides the first-K fast path, so the fixed
-// contenders cost no per-round garbage either.
+// runFixed runs the same disturbance regime against a fixed-size organ,
+// in the reference loop's idiom: a per-round corruption closure and
+// heap ballots through voting.Farm.Round.
 func runFixed(steps int64, seed uint64, n int, stormCfg StormConfig) (E8Row, error) {
 	if err := stormCfg.Validate(); err != nil {
 		return E8Row{}, err
@@ -370,7 +370,8 @@ func runFixed(steps int64, seed uint64, n int, stormCfg StormConfig) (E8Row, err
 	corruptRng := rng.Split()
 	row := E8Row{Strategy: fmt.Sprintf("fixed n=%d", n)}
 	for step := int64(0); step < steps; step++ {
-		o := farm.RoundFirstK(uint64(step), env.corruptions(step), corruptRng)
+		k := env.corruptions(step)
+		o := farm.Round(uint64(step), func(i int) bool { return i < k }, corruptRng)
 		row.ReplicaRounds += int64(o.N)
 		if o.Failed() {
 			row.Failures++

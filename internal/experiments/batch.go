@@ -1,18 +1,25 @@
 // The batch-lockstep campaign engine: W independent §3.3 campaigns
 // stepped one round at a time in lockstep over struct-of-arrays state.
 //
-// The scalar fused engine (engine.go) is zero-allocation but pays, per
-// round, an interface dispatch for the corruption source, a
-// pointer-chase through Switchboard -> Controller/Farm, and n ballot
-// writes plus an n-wide scan even on the all-quiet rounds that make up
-// 99.93% of the paper's Fig. 7 campaign. BatchCampaign removes all
-// three: every lane's state — PRNG words, controller counters, nonce
-// watermarks, occupancy rows — lives in flat slices indexed by lane, a
-// round's ballots are bit-packed into []uint64 words whose majority is
-// a popcount (voting.TallyWords), and the per-round loop is straight
-// array code with no interface or closure in sight. A quiet round costs
-// one background-probability draw and a handful of counter updates per
-// lane.
+// It is one of the repository's two campaign engines. The other is the
+// reference loop (reference.go), the pre-engine per-round loop kept as
+// the single differential-testing oracle. Every campaign the repository
+// runs — campaign jobs on aft-serve and aft-worker, RunAdaptive,
+// aft-sim's single runs, the sweeps, and aft-chaos -diff — runs here;
+// the chaos scenario runner steps the reference loop, because it needs
+// a real redundancy.Switchboard to attack.
+//
+// A scalar campaign pays, per round, an interface dispatch for the
+// corruption source, a pointer-chase through Switchboard ->
+// Controller/Farm, and n ballot writes plus an n-wide scan even on the
+// all-quiet rounds that make up 99.93% of the paper's Fig. 7 campaign.
+// BatchCampaign removes all three: every lane's state — PRNG words,
+// controller counters, nonce watermarks, occupancy rows — lives in flat
+// slices indexed by lane, a round's ballots are bit-packed into
+// []uint64 words whose majority is a popcount (voting.TallyWords), and
+// the per-round loop is straight array code with no interface or
+// closure in sight. A quiet round costs one background-probability
+// draw and a handful of counter updates per lane.
 //
 // Correctness is lane equivalence, not approximation: every lane runs
 // the same per-round draw order (storm generator split first,
@@ -21,19 +28,20 @@
 // whenever golden lacks a strict majority), and the same controller
 // policy (redundancy.Policy.Decide, the pure kernel Controller.Observe
 // itself runs). A lane's transcript is therefore byte-identical to the
-// scalar fused engine and the reference loop for the same seed — the
-// differential tests in batch_test.go assert it round by round — and a
-// lane extracted with LaneSnapshot restores on either scalar engine
-// (and vice versa via RestoreBatchCampaign), because it writes the
-// exact scalar campaign snapshot schema.
+// reference loop for the same seed — the differential tests in
+// batch_test.go assert it round by round — and a lane extracted with
+// LaneSnapshot restores on the reference loop (and vice versa via
+// RestoreBatchCampaign), because both write one campaign snapshot
+// schema.
 //
-// Width 1 is the common shape: every campaign job on aft-serve's local
-// pool and on aft-worker, RunAdaptive, and aft-sim's single runs step
-// a one-lane batch through LaneCampaign, resuming from a
-// snapshot any engine wrote. The sweeps (RunBatchParallel, SweepSeeds,
-// the E8/E10 grids) run wide batches. Campaigns driven by an external
-// corruption source — the chaos scenario runner — stay on the fused
-// engine, which the batch does not replace yet.
+// Width 1 is the common shape: every campaign job, RunAdaptive, and
+// aft-sim's single runs step a one-lane batch through Campaign,
+// resuming from a snapshot any engine wrote (the fused scalar engine of
+// earlier versions included). A width-1 batch can also take an external
+// CorruptionSource or FaultSource instead of the storm model
+// (NewCampaignWithSource), which is how aft-chaos -diff replays a
+// scenario's organ track. The sweeps (RunBatchParallel, SweepSeeds, the
+// E8/E10 grids) run wide batches.
 //
 // A BatchCampaign holds interior pointers into its own slices (the
 // per-lane storm generators alias stormRng), so it must not be copied
@@ -112,6 +120,12 @@ type BatchCampaign struct {
 	// off by default to keep the hot loop free of the stores.
 	record bool
 	last   []voting.Outcome
+
+	// env replaces the storm model in a source-driven campaign
+	// (NewCampaignWithSource, always width 1); nil otherwise. fsrc is
+	// env when it also implements FaultSource.
+	env  CorruptionSource
+	fsrc FaultSource
 }
 
 // NewBatchCampaign builds a batch with one lane per seed, all lanes
@@ -129,11 +143,20 @@ func NewBatchCampaign(cfg AdaptiveRunConfig, seeds []uint64) (*BatchCampaign, er
 // cfg.Storms, and cfg.SampleEvery are shared by every lane; cfg.Seed
 // and cfg.Policy are superseded by the lanes.
 func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCampaign, error) {
+	return newBatch(cfg, lanes, nil)
+}
+
+// newBatch builds a batch whose environment is the storm model
+// (src == nil) or the given source; cfg.Storms is ignored in the latter
+// case.
+func newBatch(cfg AdaptiveRunConfig, lanes []BatchLane, src CorruptionSource) (*BatchCampaign, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("experiments: Steps must be positive")
 	}
-	if err := cfg.Storms.Validate(); err != nil {
-		return nil, err
+	if src == nil {
+		if err := cfg.Storms.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("experiments: batch needs at least one lane")
@@ -171,7 +194,9 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		vals:          make([]uint64, maxMax),
 		ballots:       make([]uint64, maxMax),
 		last:          make([]voting.Outcome, w),
+		env:           src,
 	}
+	b.fsrc, _ = src.(FaultSource)
 	b.occ = make([]int64, w*b.stride)
 	if cfg.SampleEvery > 0 {
 		b.red = make([]*metrics.Series, w)
@@ -182,14 +207,18 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		}
 	}
 	for i := range b.lanes {
-		// Stream discipline matches NewCampaign exactly: the storm
-		// generator splits off the lane's root stream first, the
-		// corruption-value stream second.
+		// Stream discipline matches the reference loop exactly: the
+		// storm generator splits off the lane's root stream first, the
+		// corruption-value stream second. A source-driven campaign has
+		// no storm generator, so its corruption-value stream is the
+		// root's first split.
 		root := xrand.New(b.lanes[i].Seed)
-		env := newStorms(cfg.Storms, root)
-		b.stormRng[i] = *env.rng
-		b.storms[i] = *env
-		b.storms[i].rng = &b.stormRng[i]
+		if src == nil {
+			env := newStorms(cfg.Storms, root)
+			b.stormRng[i] = *env.rng
+			b.storms[i] = *env
+			b.storms[i].rng = &b.stormRng[i]
+		}
 		b.crng[i] = *root.Split()
 		b.nCtrl[i] = int32(b.lanes[i].Policy.Min)
 		b.nFarm[i] = int32(b.lanes[i].Policy.Min)
@@ -244,7 +273,13 @@ func (b *BatchCampaign) LaneOutcome(lane int) voting.Outcome { return b.last[lan
 // single Bool(Background) draw, which the loop inlines with identical
 // stream consumption, and the streak shortcut takes precisely the
 // Decide branch that returns (n, quiet+1, 0).
+//
+// A source-driven campaign takes the separate stepSource path instead.
 func (b *BatchCampaign) Step() {
+	if b.env != nil {
+		b.stepSource()
+		return
+	}
 	step := b.step
 	golden := identity(uint64(step))
 	sample := b.red != nil && step%b.cfg.SampleEvery == 0
@@ -304,14 +339,66 @@ func (b *BatchCampaign) Step() {
 	b.step = step + 1
 }
 
-// finishRound is the shared tail of the slow paths: sample the outcome,
-// run the policy kernel, apply any resize, and capture the outcome when
-// recording.
-func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Outcome) {
+// stepSource runs one round of a source-driven campaign (width 1). It
+// queries the source exactly once, clamps the corruption count to
+// [0, n], gives a colluding group one shared corrupt value, and keeps a
+// partitioned round's outcome from the policy kernel: the vote runs and
+// is sampled, but the quiet streak freezes and no resize is issued.
+// Ballot values and stream consumption match ReferenceCampaign.Step
+// over redundancy.Switchboard.StepFaultyRef.
+func (b *BatchCampaign) stepSource() {
+	step := b.step
+	var f StepFaults
+	if b.fsrc != nil {
+		f = b.fsrc.Faults(step)
+	} else {
+		f.Corruptions = b.env.Corruptions(step)
+	}
+	golden := identity(uint64(step))
+	n := int(b.nFarm[0])
+	k := min(max(f.Corruptions, 0), n)
+	crng := &b.crng[0]
+	for i := 0; i < k; i++ {
+		if i > 0 && f.Colluding {
+			b.vals[i] = b.vals[0]
+		} else {
+			b.vals[i] = voting.CorruptValue(golden, crng)
+		}
+	}
+	voting.SetFirstK(b.words, k)
+	o := voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
+	b.farmRounds[0]++
+	if o.Failed() {
+		b.farmFailures[0]++
+		b.failures[0]++
+	}
+	b.replicaRounds[0] += int64(n)
+	b.occ[n]++
+	sample := b.red != nil && step%b.cfg.SampleEvery == 0
+	if f.Partitioned {
+		b.noteRound(0, step, sample, o)
+	} else {
+		b.finishRound(0, step, sample, o)
+	}
+	b.step = step + 1
+}
+
+// noteRound samples the outcome and captures it when recording.
+func (b *BatchCampaign) noteRound(l int, step int64, sample bool, o voting.Outcome) {
 	if sample {
 		b.red[l].Append(step, float64(o.N))
 		b.dtof[l].Append(step, float64(o.DTOF))
 	}
+	if b.record {
+		o.Votes = nil
+		b.last[l] = o
+	}
+}
+
+// finishRound is the shared tail of the slow paths: note the outcome,
+// run the policy kernel, and apply any resize.
+func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Outcome) {
+	b.noteRound(l, step, sample, o)
 	newN, newQuiet, dir := b.lanes[l].Policy.Decide(int(b.nCtrl[l]), int(b.quiet[l]), o.DTOF, o.Dissent)
 	b.quiet[l] = int64(newQuiet)
 	if dir != 0 {
@@ -324,18 +411,14 @@ func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Out
 		}
 		b.applyResize(l, newN, dir)
 	}
-	if b.record {
-		o.Votes = nil
-		b.last[l] = o
-	}
 }
 
 // applyResize carries a lane's dimensioning revision as a real signed
 // resize message, mirroring Switchboard.deliver/Apply: sign with the
 // next nonce, verify on receipt, and only then adopt. The reserved
-// maximum nonce is rejected exactly as the scalar switchboard rejects
-// it, so a lane restored near the end of the nonce space stays in
-// lockstep with its scalar twin.
+// maximum nonce is rejected exactly as the reference switchboard
+// rejects it, so a lane restored near the end of the nonce space stays
+// in lockstep with its reference twin.
 func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
 	nonce := b.lastNonce[l] + 1
 	req := redundancy.SignResize(campaignKey, newN, dir, nonce)
@@ -373,8 +456,8 @@ func (b *BatchCampaign) laneConfig(lane int) AdaptiveRunConfig {
 }
 
 // Result folds one lane's counters into the AdaptiveRunResult shape
-// shared with the scalar engines; it is field-identical to the Result
-// of a scalar campaign run with laneConfig(lane).
+// shared with the reference loop; it is field-identical to the Result
+// of a reference campaign run with laneConfig(lane).
 func (b *BatchCampaign) Result(lane int) AdaptiveRunResult {
 	res := AdaptiveRunResult{
 		Hist:          metrics.NewIntHistogram(),
@@ -396,12 +479,13 @@ func (b *BatchCampaign) Result(lane int) AdaptiveRunResult {
 	return res
 }
 
-// LaneSnapshot extracts one lane as a scalar campaign snapshot: the
-// exact schema Campaign.Snapshot writes, so the lane restores on the
-// fused engine (RestoreCampaign), the reference loop
-// (RestoreReferenceCampaign), or back into a batch
-// (RestoreBatchCampaign), and its continuation is byte-identical on all
-// three.
+// LaneSnapshot extracts one lane as a campaign snapshot, in the schema
+// the reference loop writes too, so the lane restores on the reference
+// loop (RestoreReferenceCampaign) or back into a batch
+// (RestoreBatchCampaign, RestoreCampaign) and its continuation is
+// byte-identical on both. A source-driven campaign's snapshot carries
+// the external-environment marker instead of storm state, so only
+// RestoreReferenceCampaignWithSource takes it.
 func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 	if lane < 0 || lane >= len(b.lanes) {
 		return nil, fmt.Errorf("experiments: lane %d outside batch of width %d", lane, len(b.lanes))
@@ -429,9 +513,11 @@ func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 			Resizes:   b.resizes[lane],
 			Rejected:  b.rejected[lane],
 		},
-		hasStorms: true,
-		storms:    b.storms[lane].exportState(),
-		crng:      b.crng[lane].State(),
+		crng: b.crng[lane].State(),
+	}
+	if b.env == nil {
+		st.hasStorms = true
+		st.storms = b.storms[lane].exportState()
 	}
 	if b.red != nil {
 		st.red = b.red[lane]
@@ -445,12 +531,12 @@ func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 	return snapshotCampaign(st)
 }
 
-// RestoreBatchCampaign rebuilds a batch from one scalar campaign
-// snapshot per lane — snapshots taken on any engine (batch lanes, the
-// fused engine, the reference loop). All snapshots must be storm-driven
-// and agree on the shared configuration (Steps, Storms, SampleEvery)
-// and on the round they were taken at; seed and policy may differ per
-// lane.
+// RestoreBatchCampaign rebuilds a batch from one campaign snapshot per
+// lane — snapshots taken on any engine (batch lanes, the reference
+// loop, the fused engine of earlier versions). All snapshots must be
+// storm-driven and agree on the shared configuration (Steps, Storms,
+// SampleEvery) and on the round they were taken at; seed and policy
+// may differ per lane.
 func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("experiments: restore needs at least one lane snapshot")
@@ -462,7 +548,7 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 			return nil, fmt.Errorf("experiments: lane %d: %w", i, err)
 		}
 		if !st.hasStorms {
-			return nil, fmt.Errorf("experiments: lane %d was taken with an external corruption source; batches are storm-driven only", i)
+			return nil, fmt.Errorf("experiments: lane %d was taken with an external corruption source; restore it with RestoreReferenceCampaignWithSource", i)
 		}
 		states[i] = st
 	}
@@ -526,51 +612,67 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 	return b, nil
 }
 
-// LaneCampaign is a width-1 BatchCampaign behind the scalar campaign
+// Campaign is a width-1 BatchCampaign behind the scalar campaign
 // method set (Run, Rounds, Remaining, Config, Result, Snapshot): the
-// shape every campaign job, RunAdaptive, and aft-sim's single runs
-// step. Its snapshots are LaneSnapshot(0), so they restore on every
-// engine.
-type LaneCampaign struct{ b *BatchCampaign }
+// shape every campaign job, RunAdaptive, aft-sim's single runs, and
+// aft-chaos -diff step. Its snapshots are LaneSnapshot(0), so they
+// restore on both engines.
+type Campaign struct{ b *BatchCampaign }
 
-// NewLaneCampaign builds a one-lane batch seeded with cfg.Seed.
-func NewLaneCampaign(cfg AdaptiveRunConfig) (*LaneCampaign, error) {
+// NewCampaign builds a one-lane batch seeded with cfg.Seed.
+func NewCampaign(cfg AdaptiveRunConfig) (*Campaign, error) {
 	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	return &LaneCampaign{b}, nil
+	return &Campaign{b}, nil
 }
 
-// RestoreLaneCampaign rebuilds a one-lane batch from a campaign
-// snapshot any engine wrote, with every cross-check of
+// NewCampaignWithSource builds a one-lane batch whose environment is
+// the given source instead of the configured storm model; cfg.Storms
+// is ignored. The corrupt-value stream is xrand.New(cfg.Seed).Split(),
+// the discipline NewReferenceCampaignWithSource uses, so the two
+// engines stay byte-identical for any (cfg, source) pair.
+func NewCampaignWithSource(cfg AdaptiveRunConfig, src CorruptionSource) (*Campaign, error) {
+	if src == nil {
+		return nil, fmt.Errorf("experiments: nil corruption source")
+	}
+	b, err := newBatch(cfg, []BatchLane{{Seed: cfg.Seed, Policy: cfg.Policy}}, src)
+	if err != nil {
+		return nil, err
+	}
+	return &Campaign{b}, nil
+}
+
+// RestoreCampaign rebuilds a one-lane batch from a storm-driven
+// campaign snapshot any engine wrote, with every cross-check of
 // RestoreBatchCampaign.
-func RestoreLaneCampaign(snap *checkpoint.Snapshot) (*LaneCampaign, error) {
+func RestoreCampaign(snap *checkpoint.Snapshot) (*Campaign, error) {
 	b, err := RestoreBatchCampaign([]*checkpoint.Snapshot{snap})
 	if err != nil {
 		return nil, err
 	}
-	return &LaneCampaign{b}, nil
+	return &Campaign{b}, nil
 }
 
 // Run steps the campaign n more rounds.
-func (c *LaneCampaign) Run(n int64) { c.b.Run(n) }
+func (c *Campaign) Run(n int64) { c.b.Run(n) }
 
 // Rounds reports how many rounds have been stepped so far.
-func (c *LaneCampaign) Rounds() int64 { return c.b.Rounds() }
+func (c *Campaign) Rounds() int64 { return c.b.Rounds() }
 
 // Remaining reports how many configured rounds are left.
-func (c *LaneCampaign) Remaining() int64 { return c.b.Remaining() }
+func (c *Campaign) Remaining() int64 { return c.b.Remaining() }
 
 // Config returns the campaign's complete configuration, seed and
 // policy included.
-func (c *LaneCampaign) Config() AdaptiveRunConfig { return c.b.laneConfig(0) }
+func (c *Campaign) Config() AdaptiveRunConfig { return c.b.laneConfig(0) }
 
 // Result harvests the campaign's result so far.
-func (c *LaneCampaign) Result() AdaptiveRunResult { return c.b.Result(0) }
+func (c *Campaign) Result() AdaptiveRunResult { return c.b.Result(0) }
 
 // Snapshot captures the campaign's complete state.
-func (c *LaneCampaign) Snapshot() (*checkpoint.Snapshot, error) { return c.b.LaneSnapshot(0) }
+func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) { return c.b.LaneSnapshot(0) }
 
 // RunBatchParallel runs one campaign per seed, all with cfg.Policy, by
 // slicing the seeds into width-lane batches and scheduling the batches

@@ -17,12 +17,12 @@ func assertOutcomeEqual(t *testing.T, step int64, lane int, got, want voting.Out
 	if got.N != want.N || got.HasMajority != want.HasMajority ||
 		got.Value != want.Value || got.Dissent != want.Dissent ||
 		got.DTOF != want.DTOF || got.Correct != want.Correct {
-		t.Fatalf("round %d lane %d: batch outcome %+v, scalar %+v", step, lane, got, want)
+		t.Fatalf("round %d lane %d: batch outcome %+v, reference %+v", step, lane, got, want)
 	}
 }
 
 // TestBatchMatchesScalarDifferential steps a W=8 batch against 8
-// scalar fused campaigns for 100k rounds, comparing every lane's
+// scalar reference campaigns for 100k rounds, comparing every lane's
 // outcome every round — the strictest lane-equivalence check: any
 // stream drift, tally divergence, or controller drift fails on the
 // exact round it happens.
@@ -37,11 +37,11 @@ func TestBatchMatchesScalarDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.RecordOutcomes(true)
-	scalars := make([]*Campaign, len(seeds))
+	scalars := make([]*ReferenceCampaign, len(seeds))
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		if scalars[i], err = NewCampaign(c); err != nil {
+		if scalars[i], err = NewReferenceCampaign(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,14 +54,14 @@ func TestBatchMatchesScalarDifferential(t *testing.T) {
 	for i, sc := range scalars {
 		got, want := RenderFig7(b.Result(i), cfg.Policy.Min), RenderFig7(sc.Result(), cfg.Policy.Min)
 		if got != want {
-			t.Fatalf("lane %d result transcript diverged:\n%s\nvs scalar:\n%s", i, got, want)
+			t.Fatalf("lane %d result transcript diverged:\n%s\nvs reference:\n%s", i, got, want)
 		}
 	}
 }
 
 // TestBatchLaneTranscriptsFig6 checks every lane of a sampled batch
-// renders the Fig. 6 staircase byte-identically to the scalar fused
-// engine and the reference loop for the same seed.
+// renders the Fig. 6 staircase byte-identically to the reference loop
+// for the same seed.
 func TestBatchLaneTranscriptsFig6(t *testing.T) {
 	cfg := DefaultFig6Config()
 	seeds := xrand.Seeds(cfg.Seed, 4)
@@ -74,18 +74,11 @@ func TestBatchLaneTranscriptsFig6(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		eng, err := runFused(c)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := RunAdaptiveReference(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lane := RenderFig6(b.Result(i))
-		if lane != RenderFig6(eng) {
-			t.Fatalf("lane %d (seed %d) diverges from the fused engine:\n%s", i, s, lane)
-		}
 		if lane != RenderFig6(ref) {
 			t.Fatalf("lane %d (seed %d) diverges from the reference loop:\n%s", i, s, lane)
 		}
@@ -105,18 +98,11 @@ func TestBatchLaneTranscriptsFig7(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		eng, err := runFused(c)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ref, err := RunAdaptiveReference(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lane := RenderFig7(b.Result(i), cfg.Policy.Min)
-		if lane != RenderFig7(eng, cfg.Policy.Min) {
-			t.Fatalf("lane %d (seed %d) diverges from the fused engine:\n%s", i, s, lane)
-		}
 		if lane != RenderFig7(ref, cfg.Policy.Min) {
 			t.Fatalf("lane %d (seed %d) diverges from the reference loop:\n%s", i, s, lane)
 		}
@@ -124,10 +110,10 @@ func TestBatchLaneTranscriptsFig7(t *testing.T) {
 }
 
 // TestBatchLaneSnapshotCrossRestore cuts a batch mid-run, extracts
-// every lane as a scalar snapshot, and finishes each lane on the fused
-// engine, on the reference loop, and back inside a restored batch: all
-// three continuations must render byte-identically to the
-// uninterrupted scalar run.
+// every lane as a campaign snapshot, and finishes each lane on a
+// width-1 Campaign, on the reference loop, and back inside a restored
+// batch: all three continuations must render byte-identically to the
+// uninterrupted reference run.
 func TestBatchLaneSnapshotCrossRestore(t *testing.T) {
 	cfg := DefaultFig7Config(40_000)
 	cfg.SampleEvery = 500 // exercise the series sections too
@@ -145,27 +131,27 @@ func TestBatchLaneSnapshotCrossRestore(t *testing.T) {
 		}
 	}
 
-	// The oracle: uninterrupted scalar runs.
+	// The oracle: uninterrupted reference runs.
 	want := make([]string, len(seeds))
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		res, err := runFused(c)
+		res, err := RunAdaptiveReference(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = RenderFig6(res) + RenderFig7(res, cfg.Policy.Min)
 	}
 
-	// batch -> fused and batch -> reference.
+	// batch -> width-1 Campaign and batch -> reference.
 	for i := range seeds {
-		fused, err := RestoreCampaign(snaps[i])
+		c, err := RestoreCampaign(snaps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused.Run(fused.Remaining())
-		if got := RenderFig6(fused.Result()) + RenderFig7(fused.Result(), cfg.Policy.Min); got != want[i] {
-			t.Fatalf("lane %d: batch->fused continuation diverged:\n%s", i, got)
+		c.Run(c.Remaining())
+		if got := RenderFig6(c.Result()) + RenderFig7(c.Result(), cfg.Policy.Min); got != want[i] {
+			t.Fatalf("lane %d: batch->Campaign continuation diverged:\n%s", i, got)
 		}
 		ref, err := RestoreReferenceCampaign(snaps[i])
 		if err != nil {
@@ -195,24 +181,21 @@ func TestBatchLaneSnapshotCrossRestore(t *testing.T) {
 }
 
 // TestScalarSnapshotsRestoreIntoBatch goes the other way: snapshots
-// taken mid-run on the fused engine and the reference loop become lanes
-// of one batch, whose continuation must match the uninterrupted runs.
+// taken mid-run by the fused engine of earlier versions (fusedFixture)
+// and by the reference loop become lanes of one batch, whose
+// continuation must match the uninterrupted reference runs.
 func TestScalarSnapshotsRestoreIntoBatch(t *testing.T) {
-	cfg := DefaultFig7Config(30_000)
-	const cut = 11_000
-	seeds := []uint64{1906, 42}
+	cfg := fusedFixtureConfig()
+	const cut = 12_000
+	seeds := []uint64{cfg.Seed, 42}
 
 	// Lane 0 from the fused engine, lane 1 from the reference loop.
-	c0 := cfg
-	c0.Seed = seeds[0]
-	fused, err := NewCampaign(c0)
+	snap0, err := checkpoint.ReadFile(fusedFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused.Run(cut)
-	snap0, err := fused.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if meta := string(snap0.Section("meta")); meta != "fused" {
+		t.Fatalf("fixture meta %q, want fused", meta)
 	}
 	c1 := cfg
 	c1.Seed = seeds[1]
@@ -234,11 +217,11 @@ func TestScalarSnapshotsRestoreIntoBatch(t *testing.T) {
 	for i, s := range seeds {
 		c := cfg
 		c.Seed = s
-		res, err := runFused(c)
+		res, err := RunAdaptiveReference(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, wantT := RenderFig7(b.Result(i), cfg.Policy.Min), RenderFig7(res, cfg.Policy.Min); got != wantT {
+		if got, wantT := renderBoth(b.Result(i), cfg.Policy.Min), renderBoth(res, cfg.Policy.Min); got != wantT {
 			t.Fatalf("lane %d: scalar->batch continuation diverged:\n%s\nwant:\n%s", i, got, wantT)
 		}
 	}
@@ -304,8 +287,8 @@ func TestRunBatchParallelDeterministic(t *testing.T) {
 }
 
 // TestBatchE8MatchesScalarCells runs the lane-based E8 sweep against
-// the retained scalar oracles (runFixed, e8Autonomic): every contender
-// row must be identical.
+// the retained reference-loop oracles (runFixed, e8Autonomic): every
+// contender row must be identical.
 func TestBatchE8MatchesScalarCells(t *testing.T) {
 	const steps = 50_000
 	const seed = 1906
@@ -333,7 +316,7 @@ func TestBatchE8MatchesScalarCells(t *testing.T) {
 }
 
 // TestBatchE10MatchesScalarCells is the E10 version: the lane-based
-// hysteresis sweep must reproduce the scalar per-cell rows.
+// hysteresis sweep must reproduce the reference loop's per-cell rows.
 func TestBatchE10MatchesScalarCells(t *testing.T) {
 	const steps = 60_000
 	const seed = 1906

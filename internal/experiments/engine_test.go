@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aft/internal/checkpoint"
 	"aft/internal/redundancy"
 	"aft/internal/xrand"
 )
@@ -47,23 +48,58 @@ func TestEngineMatchesReferenceFig7(t *testing.T) {
 	}
 }
 
-// TestFusedCampaignMatchesReference pins the fused engine to the
-// reference loop on its own, since RunAdaptive runs on the batch
-// engine: the Fig. 6 staircase and a scaled-down Fig. 7 histogram.
+// fusedFixture is a snapshot the fused scalar engine of earlier
+// versions wrote: DefaultFig7Config(48_000) with SampleEvery 1000
+// (seed 1906), cut at round 12_000 — mid-campaign, after 7 raises and
+// 4 lowers. It pins that checkpoints from before the fused engine was
+// deleted still restore.
+const fusedFixture = "testdata/fused-campaign.ckpt"
+
+// fusedFixtureConfig is the configuration fusedFixture was taken with.
+func fusedFixtureConfig() AdaptiveRunConfig {
+	cfg := DefaultFig7Config(48_000)
+	cfg.SampleEvery = 1000
+	return cfg
+}
+
+// TestFusedCampaignMatchesReference restores the fused engine's
+// checkpoint on both engines: each continuation must render the
+// uninterrupted reference run byte for byte, Fig. 6 series included.
 func TestFusedCampaignMatchesReference(t *testing.T) {
-	for _, cfg := range []AdaptiveRunConfig{DefaultFig6Config(), DefaultFig7Config(300_000)} {
-		fused, err := runFused(cfg)
-		if err != nil {
-			t.Fatal(err)
+	snap, err := checkpoint.ReadFile(fusedFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := string(snap.Section("meta")); meta != "fused" {
+		t.Fatalf("fixture meta %q, want fused", meta)
+	}
+	cfg := fusedFixtureConfig()
+	ref, err := RunAdaptiveReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RenderFig6(ref) + RenderFig7(ref, cfg.Policy.Min)
+
+	c, err := RestoreCampaign(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := RestoreReferenceCampaign(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []steppable{c, rc} {
+		if e.Rounds() != 12_000 {
+			t.Fatalf("fixture restored at round %d, want 12000", e.Rounds())
 		}
-		ref, err := RunAdaptiveReference(cfg)
-		if err != nil {
-			t.Fatal(err)
+		e.Run(e.Remaining())
+		res := e.Result()
+		if got := RenderFig6(res) + RenderFig7(res, cfg.Policy.Min); got != want {
+			t.Fatalf("%T continuation of the fused fixture diverges:\n%s\nreference:\n%s", e, got, want)
 		}
-		if a, b := RenderFig6(fused)+RenderFig7(fused, cfg.Policy.Min),
-			RenderFig6(ref)+RenderFig7(ref, cfg.Policy.Min); a != b {
-			t.Fatalf("fused transcript diverges from the reference loop:\n%s\nreference:\n%s", a, b)
-		}
+	}
+	if c.Config() != cfg {
+		t.Fatalf("fixture config %+v, want %+v", c.Config(), cfg)
 	}
 }
 
@@ -105,8 +141,8 @@ func TestEngineSweepParallelSerialReferenceIdentical(t *testing.T) {
 }
 
 // TestCampaignStepZeroAlloc is the §3.3 allocation-regression gate: a
-// consensus round through the full engine — storm draw, vote, tally,
-// controller observation — must perform zero heap allocations.
+// consensus round through Campaign — storm draw, vote, tally, policy
+// decision — must perform zero heap allocations.
 func TestCampaignStepZeroAlloc(t *testing.T) {
 	cfg := AdaptiveRunConfig{
 		Steps:  1,
@@ -120,7 +156,7 @@ func TestCampaignStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20000, func() { c.Step() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20000, func() { c.Run(1) }); allocs != 0 {
 		t.Fatalf("consensus-path campaign round allocates %.2f objects, want 0", allocs)
 	}
 }
@@ -143,7 +179,7 @@ func TestCampaignStepZeroAllocUnderBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20000, func() { c.Step() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20000, func() { c.Run(1) }); allocs != 0 {
 		t.Fatalf("background-dissent round allocates %.2f objects, want 0", allocs)
 	}
 }

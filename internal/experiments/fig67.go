@@ -249,25 +249,24 @@ type AdaptiveRunResult struct {
 	MinFraction float64
 }
 
+// campaignKey authenticates the resize messages of a campaign. The
+// switchboard signs and verifies with the same key, so the transcript
+// does not depend on its value; it exists to exercise the paper's
+// "secure messages" machinery on every resize.
+var campaignKey = []byte("fig7-key")
+
+// identity is the replicated method of the Fig. 6/7 campaigns. A named
+// function rather than a closure so engine construction cannot capture
+// per-run state.
+func identity(v uint64) uint64 { return v }
+
 // RunAdaptive executes the §3.3 autonomic loop for the configured number
 // of rounds on a width-1 batch campaign (see batch.go): storm
 // generation, first-K corruption, voting, and resize delivery run over
 // preallocated struct-of-arrays state, so rounds off the sampling grid
 // perform zero heap allocations. The result is field-identical to the
-// fused engine's and the reference loop's for the same config.
+// reference loop's for the same config.
 func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
-	c, err := NewLaneCampaign(cfg)
-	if err != nil {
-		return AdaptiveRunResult{}, err
-	}
-	c.Run(cfg.Steps)
-	return c.Result(), nil
-}
-
-// runFused runs cfg to completion on the scalar fused engine. It is the
-// scalar differential oracle the batch engine is tested against, now
-// that RunAdaptive itself runs on a batch.
-func runFused(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 	c, err := NewCampaign(cfg)
 	if err != nil {
 		return AdaptiveRunResult{}, err
@@ -278,11 +277,11 @@ func runFused(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 
 // RunAdaptiveReference is the pre-engine §3.3 loop — per-round ballot
 // slices, a per-round corruption closure, and a map-backed histogram. It
-// is retained verbatim as the differential-testing oracle for the fused
-// and batch engines: for any valid config its result renders
-// byte-identically to RunAdaptive's (asserted by the engine determinism
-// tests), and the benchmark snapshot (BENCH_fig7.json) records its speed
-// as the baseline the engines are measured against.
+// is retained verbatim as the differential-testing oracle for the batch
+// engine: for any valid config its result renders byte-identically to
+// RunAdaptive's (asserted by the engine determinism tests), and
+// aft-bench -fig benchbatch records its speed as the baseline the batch
+// engine is measured against.
 func RunAdaptiveReference(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 	rc, err := NewReferenceCampaign(cfg)
 	if err != nil {

@@ -2,14 +2,20 @@
 //
 // RunAdaptiveReference used to be a closed loop: config in, result out.
 // That shape cannot be interrupted, so the snapshot/resume machinery
-// (snapshot.go) needed the pre-engine loop restructured the same way the
-// fused engine already is — construct, step, harvest. ReferenceCampaign
-// is that restructuring, kept operation-for-operation identical to the
-// seed loop: per-round corruption closures, heap ballot slices through
-// Switchboard.Step, and a map-backed histogram observed every round. The
-// differential tests continue to assert its transcripts match the fused
-// engine's byte for byte — and, new with checkpointing, that a snapshot
-// taken on either engine resumes identically on both.
+// (snapshot.go) needed it restructured — construct, step, harvest.
+// ReferenceCampaign is that restructuring, kept operation-for-operation
+// identical to the seed loop: per-round corruption closures, heap
+// ballot slices through a real redundancy.Switchboard, and a map-backed
+// histogram observed every round.
+//
+// It is one of the repository's two campaign engines and the single
+// differential-testing oracle for the other, the batch engine
+// (batch.go): their transcripts match byte for byte, and a snapshot
+// taken on either resumes identically on both. It is also the organ the
+// chaos scenario runner (internal/scenario) steps, because the runner
+// attacks the switchboard directly — signed resize requests through
+// Apply, sabotage hooks that reach into the farm — and the batch engine
+// keeps that state as flat counters.
 
 package experiments
 
@@ -23,14 +29,14 @@ import (
 )
 
 // ReferenceCampaign is the pre-engine §3.3 loop in steppable form: the
-// differential-testing oracle for the fused Campaign. Construct with
+// differential-testing oracle for the batch engine. Construct with
 // NewReferenceCampaign, drive with Step or Run, harvest with Result.
 type ReferenceCampaign struct {
 	cfg AdaptiveRunConfig
 	sb  *redundancy.Switchboard
 	env CorruptionSource
-	// fsrc is env when env implements FaultSource, mirroring the fused
-	// engine: colluding/partitioned rounds route through StepFaultyRef.
+	// fsrc is env when env implements FaultSource: colluding and
+	// partitioned rounds route through StepFaultyRef.
 	fsrc FaultSource
 	crng *xrand.Rand
 
@@ -38,6 +44,16 @@ type ReferenceCampaign struct {
 	step, failures, replicaRounds int64
 
 	red, dtof *metrics.Series
+}
+
+// newOrgan builds the identity-method voting farm and switchboard a
+// reference campaign steps.
+func newOrgan(policy redundancy.Policy) (*redundancy.Switchboard, error) {
+	farm, err := voting.NewFarm(policy.Min, identity)
+	if err != nil {
+		return nil, err
+	}
+	return redundancy.NewSwitchboard(farm, policy, campaignKey)
 }
 
 // NewReferenceCampaign validates cfg and builds the reference loop's
@@ -68,8 +84,9 @@ func NewReferenceCampaign(cfg AdaptiveRunConfig) (*ReferenceCampaign, error) {
 }
 
 // NewReferenceCampaignWithSource builds a reference campaign whose
-// environment is the given source instead of the configured storm model,
-// mirroring NewCampaignWithSource.
+// environment is the given source instead of the configured storm
+// model; cfg.Storms is ignored. The corrupt-value stream is
+// xrand.New(cfg.Seed).Split(), mirroring NewCampaignWithSource.
 func NewReferenceCampaignWithSource(cfg AdaptiveRunConfig, src CorruptionSource) (*ReferenceCampaign, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("experiments: Steps must be positive")
@@ -101,8 +118,18 @@ func (rc *ReferenceCampaign) newSeries() {
 	}
 }
 
-// Switchboard exposes the campaign's switchboard (read-only use).
+// Switchboard exposes the campaign's switchboard. The chaos scenario
+// runner reads its counters and delivers adversarial resize requests
+// through Apply.
 func (rc *ReferenceCampaign) Switchboard() *redundancy.Switchboard { return rc.sb }
+
+// Sign signs a resize request with the campaign's message key. It
+// exists for harnesses that inject adversarial resize traffic — the
+// chaos scenarios' replay attacks re-send a correctly signed but stale
+// nonce and assert the switchboard rejects it.
+func (rc *ReferenceCampaign) Sign(newN int, dir redundancy.Direction, nonce uint64) redundancy.ResizeRequest {
+	return redundancy.SignResize(campaignKey, newN, dir, nonce)
+}
 
 // Rounds reports how many rounds have been stepped so far.
 func (rc *ReferenceCampaign) Rounds() int64 { return rc.step }

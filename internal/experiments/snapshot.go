@@ -8,9 +8,11 @@
 // generator's and the corruption-value stream's). Restoring it yields a
 // campaign whose continuation is byte-identical to the uninterrupted
 // run: RenderFig6/RenderFig7 transcripts cannot tell the difference.
-// That holds across engines, too — a snapshot taken on the fused engine
+// That holds across engines, too — a snapshot taken on the batch engine
 // resumes on the reference loop and vice versa, which is how the
-// differential tests extend to resume.
+// differential tests extend to resume. Snapshots the fused scalar
+// engine of earlier versions wrote (meta "fused") use the same schema
+// and restore on both.
 //
 // SplitCampaign cuts a long campaign into sequential shards whose
 // snapshots chain, so cmd/aft-sim can run the Fig. 7 campaign as N
@@ -30,7 +32,6 @@ import (
 	"aft/internal/checkpoint"
 	"aft/internal/metrics"
 	"aft/internal/redundancy"
-	"aft/internal/voting"
 )
 
 // CampaignSnapshotKind identifies campaign snapshots inside a
@@ -40,10 +41,9 @@ const CampaignSnapshotKind = "aft/campaign"
 // campaignSnapshotVersion is the campaign payload schema version.
 const campaignSnapshotVersion = 1
 
-// Engine names recorded in snapshots (informational: either engine can
-// restore either snapshot).
+// Engine names recorded in the "meta" section (informational: either
+// engine restores either snapshot, and "fused" from earlier versions).
 const (
-	engineFused     = "fused"
 	engineReference = "reference"
 	engineBatch     = "batch"
 )
@@ -298,35 +298,8 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	return st, nil
 }
 
-// Snapshot captures the fused campaign's complete state. The campaign
-// keeps running; the snapshot is an independent copy.
-func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) {
-	st := campaignState{
-		engine:        engineFused,
-		cfg:           c.cfg,
-		step:          c.step,
-		failures:      c.failures,
-		replicaRounds: c.replicaRounds,
-		occupancy:     make(map[int]int64),
-		sb:            c.sb.ExportState(),
-		crng:          c.crng.State(),
-		red:           c.red,
-		dtof:          c.dtof,
-	}
-	for n, cnt := range c.occ {
-		if cnt > 0 {
-			st.occupancy[n] = cnt
-		}
-	}
-	if s, ok := c.env.(*storms); ok {
-		st.hasStorms = true
-		st.storms = s.exportState()
-	}
-	return snapshotCampaign(st)
-}
-
 // Snapshot captures the reference campaign's complete state, in the
-// same schema the fused engine writes.
+// same schema the batch engine writes.
 func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
 	st := campaignState{
 		engine:        engineReference,
@@ -350,85 +323,10 @@ func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
 	return snapshotCampaign(st)
 }
 
-// RestoreCampaign rebuilds a fused campaign from a snapshot of a
-// storm-driven run (NewCampaign). Snapshots of source-driven campaigns
-// need RestoreCampaignWithSource, because the external source is not
-// part of the snapshot.
-func RestoreCampaign(snap *checkpoint.Snapshot) (*Campaign, error) {
-	st, err := decodeCampaign(snap)
-	if err != nil {
-		return nil, err
-	}
-	if !st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with an external corruption source; use RestoreCampaignWithSource")
-	}
-	c, err := NewCampaign(st.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.restore(st); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RestoreCampaignWithSource rebuilds a fused campaign from a snapshot
-// of a source-driven run (NewCampaignWithSource). The caller supplies
-// the source, which must be the deterministic continuation of the one
-// the snapshotted campaign was using: it will next be queried at round
-// Rounds().
-func RestoreCampaignWithSource(snap *checkpoint.Snapshot, src CorruptionSource) (*Campaign, error) {
-	st, err := decodeCampaign(snap)
-	if err != nil {
-		return nil, err
-	}
-	if st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with the storm environment; use RestoreCampaign")
-	}
-	c, err := NewCampaignWithSource(st.cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.restore(st); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// restore overwrites a freshly constructed fused campaign with decoded
-// state.
-func (c *Campaign) restore(st campaignState) error {
-	if err := c.sb.RestoreState(st.sb); err != nil {
-		return err
-	}
-	if st.hasStorms {
-		if err := c.env.(*storms).restoreState(st.storms); err != nil {
-			return err
-		}
-	}
-	if err := c.crng.SetState(st.crng); err != nil {
-		return err
-	}
-	c.step = st.step
-	c.failures = st.failures
-	c.replicaRounds = st.replicaRounds
-	for i := range c.occ {
-		c.occ[i] = 0
-	}
-	for n, cnt := range st.occupancy {
-		if n >= len(c.occ) {
-			return fmt.Errorf("experiments: occupancy at %d replicas outside policy band (max %d)",
-				n, len(c.occ)-1)
-		}
-		c.occ[n] = cnt
-	}
-	c.red, c.dtof = st.red, st.dtof
-	return nil
-}
-
 // RestoreReferenceCampaign rebuilds a reference campaign from a
-// snapshot of a storm-driven run. Snapshots taken on the fused engine
-// restore here just as well — the state schema is engine-agnostic.
+// snapshot of a storm-driven run. Snapshots taken on the batch engine
+// (or the fused engine of earlier versions) restore here just as well —
+// the state schema is engine-agnostic.
 func RestoreReferenceCampaign(snap *checkpoint.Snapshot) (*ReferenceCampaign, error) {
 	st, err := decodeCampaign(snap)
 	if err != nil {
@@ -448,8 +346,11 @@ func RestoreReferenceCampaign(snap *checkpoint.Snapshot) (*ReferenceCampaign, er
 }
 
 // RestoreReferenceCampaignWithSource rebuilds a reference campaign from
-// a snapshot of a source-driven run, with the caller supplying the
-// source continuation.
+// a snapshot of a source-driven run (NewReferenceCampaignWithSource, or
+// NewCampaignWithSource on either engine). The caller supplies the
+// source, which must be the deterministic continuation of the one the
+// snapshotted campaign was using: it will next be queried at round
+// Rounds().
 func RestoreReferenceCampaignWithSource(snap *checkpoint.Snapshot, src CorruptionSource) (*ReferenceCampaign, error) {
 	st, err := decodeCampaign(snap)
 	if err != nil {
@@ -556,18 +457,18 @@ func ShardForRound(shards []Shard, round int64) (Shard, error) {
 // cmd/aft-sim drives.
 var (
 	_ interface {
-		Step() voting.Outcome
 		Run(int64)
 		Rounds() int64
 		Remaining() int64
+		Config() AdaptiveRunConfig
 		Result() AdaptiveRunResult
 		Snapshot() (*checkpoint.Snapshot, error)
 	} = (*Campaign)(nil)
 	_ interface {
-		Step() voting.Outcome
 		Run(int64)
 		Rounds() int64
 		Remaining() int64
+		Config() AdaptiveRunConfig
 		Result() AdaptiveRunResult
 		Snapshot() (*checkpoint.Snapshot, error)
 	} = (*ReferenceCampaign)(nil)

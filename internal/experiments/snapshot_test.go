@@ -48,8 +48,8 @@ func resumeAt(t *testing.T, c steppable, at int64,
 	return resumed.Result()
 }
 
-// fusedAt builds a fused campaign or fails the test.
-func fusedAt(t *testing.T, cfg AdaptiveRunConfig) steppable {
+// campaignAt builds a width-1 batch Campaign or fails the test.
+func campaignAt(t *testing.T, cfg AdaptiveRunConfig) steppable {
 	t.Helper()
 	c, err := NewCampaign(cfg)
 	if err != nil {
@@ -69,7 +69,7 @@ func referenceAt(t *testing.T, cfg AdaptiveRunConfig) steppable {
 }
 
 // asSteppable adapts the typed restore functions.
-func restoreFused(snap *checkpoint.Snapshot) (steppable, error) { return RestoreCampaign(snap) }
+func restoreCampaign(snap *checkpoint.Snapshot) (steppable, error) { return RestoreCampaign(snap) }
 func restoreReference(snap *checkpoint.Snapshot) (steppable, error) {
 	return RestoreReferenceCampaign(snap)
 }
@@ -77,7 +77,7 @@ func restoreReference(snap *checkpoint.Snapshot) (steppable, error) {
 // TestSnapshotResumeFig7Property is the crash-resume determinism
 // property on the Fig. 7 regime: a campaign killed at an arbitrary
 // round and resumed from its snapshot renders transcripts byte-identical
-// to the uninterrupted run — on the fused engine, on the reference
+// to the uninterrupted run — on the batch engine, on the reference
 // engine, and across engines in both directions.
 func TestSnapshotResumeFig7Property(t *testing.T) {
 	cfg := DefaultFig7Config(120_000)
@@ -100,10 +100,10 @@ func TestSnapshotResumeFig7Property(t *testing.T) {
 		build   func(*testing.T, AdaptiveRunConfig) steppable
 		restore func(*checkpoint.Snapshot) (steppable, error)
 	}{
-		{"fused->fused", fusedAt, restoreFused},
+		{"batch->batch", campaignAt, restoreCampaign},
 		{"reference->reference", referenceAt, restoreReference},
-		{"fused->reference", fusedAt, restoreReference},
-		{"reference->fused", referenceAt, restoreFused},
+		{"batch->reference", campaignAt, restoreReference},
+		{"reference->batch", referenceAt, restoreCampaign},
 	}
 	for _, eng := range engines {
 		for _, at := range cuts {
@@ -130,9 +130,9 @@ func TestSnapshotResumeFig6Series(t *testing.T) {
 	want := renderBoth(straight, cfg.Policy.Min)
 
 	for _, at := range []int64{10, 3500, 7919, cfg.Steps - 1} {
-		res := resumeAt(t, fusedAt(t, cfg), at, restoreFused)
+		res := resumeAt(t, campaignAt(t, cfg), at, restoreCampaign)
 		if got := renderBoth(res, cfg.Policy.Min); got != want {
-			t.Fatalf("fused resume at %d diverged on the sampled series", at)
+			t.Fatalf("batch resume at %d diverged on the sampled series", at)
 		}
 		res = resumeAt(t, referenceAt(t, cfg), at, restoreReference)
 		if got := renderBoth(res, cfg.Policy.Min); got != want {
@@ -143,48 +143,45 @@ func TestSnapshotResumeFig6Series(t *testing.T) {
 
 // TestSnapshotResumeSourceCampaign covers the source-driven construct
 // the chaos harness uses: the source continuation is supplied by the
-// caller at restore time.
+// caller at restore time, and a source snapshot from either engine
+// continues on the reference loop.
 func TestSnapshotResumeSourceCampaign(t *testing.T) {
 	cfg := AdaptiveRunConfig{Steps: 20_000, Seed: 1906, Policy: DefaultFig7Config(0).Policy}
 	src := func() CorruptionSource { return scriptedSource{} }
 
-	straight, err := NewCampaignWithSource(cfg, src())
+	want, err := RunAdaptiveReferenceSource(cfg, src())
 	if err != nil {
 		t.Fatal(err)
 	}
-	straight.Run(cfg.Steps)
-	want := RenderFig7(straight.Result(), cfg.Policy.Min)
-
 	c, err := NewCampaignWithSource(cfg, src())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(7_331)
-	snap, err := c.Snapshot()
+	rc, err := NewReferenceCampaignWithSource(cfg, src())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The storm-restore entry points must refuse a source snapshot.
-	if _, err := RestoreCampaign(snap); err == nil {
-		t.Fatal("RestoreCampaign accepted a source-driven snapshot")
-	}
-	resumed, err := RestoreCampaignWithSource(snap, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Run(resumed.Remaining())
-	if got := RenderFig7(resumed.Result(), cfg.Policy.Min); got != want {
-		t.Fatalf("source-campaign resume diverged:\n%s\nwant:\n%s", got, want)
-	}
-
-	// Cross-engine: the same snapshot continues on the reference loop.
-	ref, err := RestoreReferenceCampaignWithSource(snap, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(ref.Remaining())
-	if got := RenderFig7(ref.Result(), cfg.Policy.Min); got != want {
-		t.Fatalf("cross-engine source resume diverged")
+	for _, e := range []steppable{c, rc} {
+		e.Run(7_331)
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The storm-restore entry points must refuse a source snapshot.
+		if _, err := RestoreCampaign(snap); err == nil {
+			t.Fatalf("%T: RestoreCampaign accepted a source-driven snapshot", e)
+		}
+		if _, err := RestoreReferenceCampaign(snap); err == nil {
+			t.Fatalf("%T: RestoreReferenceCampaign accepted a source-driven snapshot", e)
+		}
+		resumed, err := RestoreReferenceCampaignWithSource(snap, src())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed.Run(resumed.Remaining())
+		if got := RenderFig7(resumed.Result(), cfg.Policy.Min); got != RenderFig7(want, cfg.Policy.Min) {
+			t.Fatalf("%T: source-campaign resume diverged:\n%s\nwant:\n%s", e, got, RenderFig7(want, cfg.Policy.Min))
+		}
 	}
 }
 
@@ -205,7 +202,7 @@ func (scriptedSource) Corruptions(step int64) int {
 // restore, never resume a silently wrong campaign.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	cfg := DefaultFig7Config(50_000)
-	c := fusedAt(t, cfg)
+	c := campaignAt(t, cfg)
 	c.Run(25_000)
 	snap, err := c.Snapshot()
 	if err != nil {

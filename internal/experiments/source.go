@@ -1,23 +1,14 @@
-// External corruption sources for the §3.3 campaign engine.
+// External corruption sources for the §3.3 campaign engines.
 //
-// The fused Campaign and the reference loop were built around the
-// Fig. 6/7 storm generator, but the chaos harness (internal/scenario)
-// needs to drive the same organ — same switchboard, same controller,
-// same corrupt-value stream — from arbitrary scripted fault campaigns.
-// CorruptionSource abstracts "how many replicas does the environment
-// corrupt this round?" so that both engines accept any deterministic
-// per-round stream, and the scenario runner's differential mode can
-// prove fused/reference parity on workloads the storm model cannot
-// express.
+// Both engines — the batch engine at width 1 and the reference loop —
+// were built around the Fig. 6/7 storm generator, but the chaos harness
+// (internal/scenario) needs to drive the same organ — same controller
+// policy, same corrupt-value stream — from arbitrary scripted fault
+// campaigns. CorruptionSource abstracts "how many replicas does the
+// environment corrupt this round?" so that both engines accept any
+// deterministic per-round stream, and aft-chaos -diff can prove
+// batch/reference parity on workloads the storm model cannot express.
 package experiments
-
-import (
-	"fmt"
-
-	"aft/internal/redundancy"
-	"aft/internal/voting"
-	"aft/internal/xrand"
-)
 
 // CorruptionSource yields the number of replicas the environment
 // corrupts at each round. Implementations must be deterministic and are
@@ -44,11 +35,11 @@ type StepFaults struct {
 // as colluding or partitioned. When a source passed to
 // NewCampaignWithSource or NewReferenceCampaignWithSource implements
 // FaultSource, the engine consults Faults instead of Corruptions —
-// exactly once per round, with strictly increasing step values — and
-// routes the round through redundancy.Switchboard.StepFaulty (fused) or
-// StepFaultyRef (reference). A source whose Faults never sets a flag
-// produces byte-identical transcripts to the plain CorruptionSource
-// path.
+// exactly once per round, with strictly increasing step values. The
+// reference loop routes the round through
+// redundancy.Switchboard.StepFaultyRef; the batch engine reproduces it
+// on packed ballots. A source whose Faults never sets a flag produces
+// byte-identical transcripts to the plain CorruptionSource path.
 type FaultSource interface {
 	CorruptionSource
 	Faults(step int64) StepFaults
@@ -57,52 +48,6 @@ type FaultSource interface {
 // Corruptions implements CorruptionSource on the storm generator, so
 // the stock Fig. 6/7 environment is just one source among others.
 func (s *storms) Corruptions(step int64) int { return s.corruptions(step) }
-
-// newOrgan builds the identity-method voting farm and switchboard every
-// campaign variant shares.
-func newOrgan(policy redundancy.Policy) (*redundancy.Switchboard, error) {
-	farm, err := voting.NewFarm(policy.Min, identity)
-	if err != nil {
-		return nil, err
-	}
-	return redundancy.NewSwitchboard(farm, policy, campaignKey)
-}
-
-// NewCampaignWithSource builds a fused campaign whose environment is
-// the given source instead of the configured storm model. cfg.Storms is
-// ignored. The corrupt-value stream is derived as xrand.New(cfg.Seed).
-// Split(), the same discipline RunAdaptiveReferenceSource uses, so the
-// two engines stay byte-identical for any (cfg, source) pair.
-func NewCampaignWithSource(cfg AdaptiveRunConfig, src CorruptionSource) (*Campaign, error) {
-	if cfg.Steps <= 0 {
-		return nil, fmt.Errorf("experiments: Steps must be positive")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("experiments: nil corruption source")
-	}
-	sb, err := newOrgan(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	c := &Campaign{
-		cfg:  cfg,
-		sb:   sb,
-		env:  src,
-		crng: xrand.New(cfg.Seed).Split(),
-		occ:  make([]int64, cfg.Policy.Max+1),
-	}
-	c.fsrc, _ = src.(FaultSource)
-	c.newSeries()
-	return c, nil
-}
-
-// Sign signs a resize request with the campaign's message key. It
-// exists for harnesses that inject adversarial resize traffic — the
-// chaos scenarios' replay attacks re-send a correctly signed but stale
-// nonce and assert the switchboard rejects it.
-func (c *Campaign) Sign(newN int, dir redundancy.Direction, nonce uint64) redundancy.ResizeRequest {
-	return redundancy.SignResize(campaignKey, newN, dir, nonce)
-}
 
 // RunAdaptiveReferenceSource is RunAdaptiveReference with the storm
 // generator replaced by an external corruption source: the pre-engine

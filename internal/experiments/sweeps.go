@@ -225,13 +225,13 @@ func e10RowFrom(la int, res AdaptiveRunResult) E10Row {
 	}
 }
 
-// e10Row measures one LowerAfter setting; rows are independent runs. It
-// survives as the scalar differential oracle the batch-engine E10 rows
-// are tested against.
+// e10Row measures one LowerAfter setting on the reference loop; rows
+// are independent runs. It survives as the differential oracle the
+// batch-engine E10 rows are tested against.
 func e10Row(steps int64, seed uint64, storms StormConfig, la int) (E10Row, error) {
 	policy := redundancy.DefaultPolicy()
 	policy.LowerAfter = la
-	res, err := runFused(AdaptiveRunConfig{
+	res, err := RunAdaptiveReference(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: policy,

@@ -33,11 +33,38 @@ func referenceResult(t *testing.T, id string, cfg experiments.AdaptiveRunConfig,
 // it covers.
 func checkpointRounds(t *testing.T, snap *checkpoint.Snapshot) int64 {
 	t.Helper()
-	c, err := experiments.RestoreLaneCampaign(snap)
+	c, err := experiments.RestoreCampaign(snap)
 	if err != nil {
 		t.Fatalf("stored checkpoint does not restore: %v", err)
 	}
 	return c.Rounds()
+}
+
+// fusedFixture is a campaign checkpoint the fused scalar engine of
+// earlier versions wrote (meta "fused"), as a store or fleet from before
+// its deletion still holds: experiments.DefaultFig7Config(48_000) with
+// SampleEvery 1000 (seed 1906), cut at round 12_000.
+const fusedFixture = "../experiments/testdata/fused-campaign.ckpt"
+
+// readFusedFixture loads fusedFixture and returns it with the campaign
+// configuration it carries.
+func readFusedFixture(t *testing.T) (*checkpoint.Snapshot, experiments.AdaptiveRunConfig) {
+	t.Helper()
+	snap, err := checkpoint.ReadFile(fusedFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotEngine(t, snap); got != "fused" {
+		t.Fatalf("fixture written by %q, want fused", got)
+	}
+	rc, err := experiments.RestoreReferenceCampaign(snap)
+	if err != nil {
+		t.Fatalf("fixture does not restore: %v", err)
+	}
+	if rc.Rounds() != 12_000 {
+		t.Fatalf("fixture at round %d, want 12000", rc.Rounds())
+	}
+	return snap, rc.Config()
 }
 
 // snapshotEngine reports which engine wrote a campaign snapshot.
@@ -55,7 +82,7 @@ func snapshotEngine(t *testing.T, snap *checkpoint.Snapshot) string {
 // own checkpoint replaces the fused one with a batch one, and the final
 // record is the uninterrupted run's, resumed flag aside.
 func TestFusedCheckpointStoreUpgrades(t *testing.T) {
-	cfg := testCampaign(48_000, 0)
+	snap, cfg := readFusedFixture(t)
 	dir := t.TempDir()
 
 	// The old store: a queued campaign with a fused checkpoint at round
@@ -65,15 +92,6 @@ func TestFusedCheckpointStoreUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _, err := s0.Submit(Spec{Kind: KindCampaign, Campaign: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := experiments.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused.Run(12_000)
-	snap, err := fused.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +187,19 @@ func TestSampledCampaignKillResumeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFleetChainAcceptsFusedUploadMidChain drives a three-shard chain
-// by hand: batch, then fused, then batch. The coordinator verifies and
-// stores the fused uploads of the middle shard, hands the fused
-// checkpoint to the last shard, and the stitched transcript is the
+// TestFleetChainAcceptsFusedUploadMidChain drives a shard chain by hand:
+// a batch shard, then a shard whose worker still ran the fused engine
+// and hands back fusedFixture, then batch shards to the end. The
+// coordinator verifies and stores the fused upload, hands the fused
+// checkpoint to the next shard, and the stitched transcript is the
 // reference loop's.
 func TestFleetChainAcceptsFusedUploadMidChain(t *testing.T) {
 	s := newTestServer(t, Options{
 		DisableLocalPool: true,
-		CheckpointEvery:  2_000,
+		CheckpointEvery:  6_000,
 		ShardRounds:      6_000,
 	})
-	cfg := testCampaign(18_000, 0)
+	fused, cfg := readFusedFixture(t)
 	st, _, err := s.Submit(Spec{Kind: KindCampaign, Campaign: &cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -189,43 +208,29 @@ func TestFleetChainAcceptsFusedUploadMidChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// batchGrant materializes a grant on the engine real workers run.
-	batchGrant := func(g Grant) (campaignRun, bool) {
-		if len(g.Checkpoint) == 0 {
-			c, err := experiments.NewLaneCampaign(*g.Spec.Campaign)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c, false
+	// Shard 1 (rounds 6000-12000) ends at the fixture's round.
+	shards := int(cfg.Steps / 6_000)
+	for shard := 0; shard < shards; shard++ {
+		engine := "batch"
+		if shard == 1 {
+			engine = "fused"
 		}
-		snap, err := checkpoint.Decode(g.Checkpoint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := experiments.RestoreLaneCampaign(snap)
-		if err != nil {
-			t.Fatalf("restore shipped checkpoint: %v", err)
-		}
-		return c, true
-	}
-
-	for shard, engine := range []string{"batch", "fused", "batch"} {
 		g := waitLease(t, s, "w-"+engine)
 		if g.Rounds != int64(shard)*6_000 {
 			t.Fatalf("shard %d granted at round %d", shard, g.Rounds)
 		}
-		var c campaignRun
-		var resumed bool
 		if engine == "fused" {
-			c, resumed = grantCampaign(t, g)
+			w := fleetReq(t, s, "PUT", "/v1/jobs/"+g.Job+"/checkpoint",
+				fused.Encode(), uploadHeaders(g.Worker, g.Token))
+			if w.Code != http.StatusOK || !decode[UploadReply](t, w).ShardDone {
+				t.Fatalf("fused upload: %d %s", w.Code, w.Body)
+			}
 		} else {
-			c, resumed = batchGrant(g)
+			if completed := driveGrant(t, s, g); completed != (shard == shards-1) {
+				t.Fatalf("shard %d completed=%v", shard, completed)
+			}
 		}
-		completed := driveGrantOn(t, s, g, c, resumed)
-		if completed != (shard == 2) {
-			t.Fatalf("shard %d completed=%v", shard, completed)
-		}
-		if !completed {
+		if shard < 2 {
 			if got := snapshotEngine(t, s.store.readCheckpoint(st.ID)); got != engine {
 				t.Fatalf("shard %d stored a %q checkpoint, want the uploaded %s one", shard, got, engine)
 			}

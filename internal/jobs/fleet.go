@@ -369,7 +369,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad snapshot: " + err.Error()})
 		return
 	}
-	c, err := experiments.RestoreLaneCampaign(snap)
+	c, err := experiments.RestoreCampaign(snap)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "snapshot does not restore: " + err.Error()})
 		return

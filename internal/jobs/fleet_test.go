@@ -53,20 +53,9 @@ func uploadHeaders(worker string, token uint64) map[string]string {
 	}
 }
 
-// campaignRun is the method set the hand-driven workers below use:
-// both the fused experiments.Campaign and the width-1
-// experiments.LaneCampaign the real workers run have it.
-type campaignRun interface {
-	Run(n int64)
-	Rounds() int64
-	Remaining() int64
-	Result() experiments.AdaptiveRunResult
-	Snapshot() (*checkpoint.Snapshot, error)
-}
-
 // uploadSnapshot uploads a campaign's current snapshot under the
 // grant's credentials and returns the response.
-func uploadSnapshot(t *testing.T, s *Server, g Grant, c campaignRun) *httptest.ResponseRecorder {
+func uploadSnapshot(t *testing.T, s *Server, g Grant, c *experiments.Campaign) *httptest.ResponseRecorder {
 	t.Helper()
 	snap, err := c.Snapshot()
 	if err != nil {
@@ -114,13 +103,6 @@ func grantCampaign(t *testing.T, g Grant) (*experiments.Campaign, bool) {
 func driveGrant(t *testing.T, s *Server, g Grant) (completed bool) {
 	t.Helper()
 	c, resumed := grantCampaign(t, g)
-	return driveGrantOn(t, s, g, c, resumed)
-}
-
-// driveGrantOn is driveGrant on a campaign the caller materialized, on
-// any engine.
-func driveGrantOn(t *testing.T, s *Server, g Grant, c campaignRun, resumed bool) (completed bool) {
-	t.Helper()
 	for {
 		n := g.CheckpointEvery
 		if r := g.RunTo - c.Rounds(); n > r {

@@ -4,16 +4,18 @@
 // scenarios over HTTP/JSON, executes them on a bounded worker pool, and
 // survives being killed at any instant.
 //
-// Campaigns run on a width-1 batch (experiments.LaneCampaign), on the
-// local pool and on the fleet workers alike; chaos scenario jobs run on
-// the scenario runner's fused engine.
+// Campaigns run on the batch engine at width 1 (experiments.Campaign),
+// on the local pool and on the fleet workers alike; chaos scenario jobs
+// step the scenario runner's reference-loop organ. Those are the
+// repository's two campaign engines.
 //
 // Durability is checkpoint-backed, not best-effort: a running campaign
-// snapshots through LaneCampaign.Snapshot and internal/checkpoint
+// snapshots through Campaign.Snapshot and internal/checkpoint
 // every CheckpointEvery rounds, the job store is a crash-safe on-disk
 // layout (spec, checkpoint, and result each written by atomic rename),
 // and a restarted server resumes every in-flight campaign from its last
-// checkpoint, whichever engine wrote it. Because snapshots restore
+// checkpoint, whichever engine wrote it (the fused engine of earlier
+// versions included). Because snapshots restore
 // byte-identically, the final transcript of a killed-and-resumed
 // campaign is byte-for-byte the transcript of an uninterrupted run —
 // the same kill-at-any-round property the engine-level tests assert,

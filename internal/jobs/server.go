@@ -134,7 +134,7 @@ type job struct {
 	// the job's on-disk checkpoint, so the worker that picks the job up
 	// does not read and restore the same snapshot a second time.
 	// Guarded by Server.mu; consumed (nilled) by the worker.
-	restored *experiments.LaneCampaign
+	restored *experiments.Campaign
 
 	// submittedAt is when this server process accepted the job (zero
 	// for jobs recovered from a previous process — their end-to-end
@@ -333,7 +333,7 @@ func (s *Server) replay() {
 		// decodes but fails the campaign cross-checks is discarded here
 		// exactly as a worker would discard it: the job recomputes from
 		// round zero rather than failing or lying.
-		c, err := experiments.RestoreLaneCampaign(snap)
+		c, err := experiments.RestoreCampaign(snap)
 		s.mu.Lock()
 		if err != nil {
 			s.notes = append(s.notes,
@@ -968,7 +968,7 @@ func (s *Server) runCampaign(j *job) bool {
 			// fatal: the snapshot is a cache of a deterministic
 			// computation, so the honest response to damage is
 			// recomputing from round zero.
-			if restored, err := experiments.RestoreLaneCampaign(snap); err == nil {
+			if restored, err := experiments.RestoreCampaign(snap); err == nil {
 				c = restored
 				resumed = true
 				j.rounds.Store(c.Rounds())
@@ -980,7 +980,7 @@ func (s *Server) runCampaign(j *job) bool {
 		s.resumedJobs.Inc()
 	}
 	if c == nil {
-		fresh, err := experiments.NewLaneCampaign(cfg)
+		fresh, err := experiments.NewCampaign(cfg)
 		if err != nil {
 			s.fail(j, err)
 			return true
@@ -1043,7 +1043,7 @@ func (s *Server) runCampaign(j *job) bool {
 
 // writeCampaignCheckpoint snapshots a campaign durably and records the
 // covered rounds.
-func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.LaneCampaign) error {
+func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.Campaign) error {
 	snap, err := c.Snapshot()
 	if err != nil {
 		return err

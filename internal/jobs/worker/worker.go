@@ -183,12 +183,12 @@ func (w *worker) execute(ctx context.Context, g jobs.Grant) {
 // transcripts match byte for byte.
 func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 	cfg := *g.Spec.Campaign
-	var c *experiments.LaneCampaign
+	var c *experiments.Campaign
 	resumed := false
 	if len(g.Checkpoint) > 0 {
 		snap, err := checkpoint.Decode(g.Checkpoint)
 		if err == nil {
-			c, err = experiments.RestoreLaneCampaign(snap)
+			c, err = experiments.RestoreCampaign(snap)
 		}
 		if err != nil {
 			// The coordinator verified this snapshot before shipping it,
@@ -200,7 +200,7 @@ func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 		resumed = true
 	}
 	if c == nil {
-		fresh, err := experiments.NewLaneCampaign(cfg)
+		fresh, err := experiments.NewCampaign(cfg)
 		if err != nil {
 			w.complete(ctx, g, &jobs.Result{
 				ID: g.Job, Kind: g.Kind, State: jobs.StateFailed, Error: err.Error(),
@@ -261,7 +261,7 @@ func (w *worker) runCampaign(ctx context.Context, g jobs.Grant, hb *heartbeat) {
 // upload streams the campaign's current snapshot to the coordinator,
 // retrying transport errors (re-delivery is idempotent) until the
 // context ends or the lease is fenced.
-func (w *worker) upload(ctx context.Context, g jobs.Grant, c *experiments.LaneCampaign) (jobs.UploadReply, bool) {
+func (w *worker) upload(ctx context.Context, g jobs.Grant, c *experiments.Campaign) (jobs.UploadReply, bool) {
 	var reply jobs.UploadReply
 	snap, err := c.Snapshot()
 	if err != nil {

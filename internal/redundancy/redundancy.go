@@ -348,51 +348,16 @@ func (s *Switchboard) Step(input uint64, corrupted func(i int) bool, rng *xrand.
 	return o, s.deliver(dir)
 }
 
-// StepFirstK is the allocation-free variant of Step for the §3.3 storm
-// model, where a disturbance corrupts the first k replicas: it avoids
-// both the per-round corruption closure and the per-round ballot slice
-// (see voting.Farm.RoundFirstK). On consensus rounds — the overwhelming
-// majority of a Fig. 7 campaign — it performs zero heap allocations.
-func (s *Switchboard) StepFirstK(input uint64, k int, rng *xrand.Rand) (voting.Outcome, bool) {
-	o := s.farm.RoundFirstK(input, k, rng)
-	dir, changed := s.ctrl.Observe(o)
-	if !changed {
-		return o, false
-	}
-	return o, s.deliver(dir)
-}
-
-// StepFaulty runs one round under an explicit fault environment, the
-// chaos harness's superset of StepFirstK: k replicas are corrupted;
-// when collude is set they form a Byzantine group voting one shared
-// wrong value (voting.Farm.RoundColluding); when partitioned is set the
+// StepFaultyRef runs one round under an explicit fault environment, the
+// chaos harness's superset of Step: the first k replicas are corrupted
+// (k <= 0 corrupts none; k > n corrupts all n); when collude is set
+// they form a Byzantine group voting one shared wrong value
+// (voting.Farm.RoundShared); when partitioned is set the
 // organ↔controller link is down this round — the vote still runs, but
 // the outcome observation is lost, so the controller neither updates
-// its streaks nor issues a resize. With both flags false it is
-// operation-for-operation StepFirstK.
-func (s *Switchboard) StepFaulty(input uint64, k int, collude, partitioned bool, rng *xrand.Rand) (voting.Outcome, bool) {
-	var o voting.Outcome
-	if collude {
-		o = s.farm.RoundColluding(input, k, rng)
-	} else {
-		o = s.farm.RoundFirstK(input, k, rng)
-	}
-	if partitioned {
-		return o, false
-	}
-	dir, changed := s.ctrl.Observe(o)
-	if !changed {
-		return o, false
-	}
-	return o, s.deliver(dir)
-}
-
-// StepFaultyRef is the reference-loop idiom of StepFaulty: per-round
-// corruption closures and heap ballots (voting.Farm.Round/RoundShared),
-// kept as an independent implementation so the differential replay can
-// assert engine parity on colluding and partitioned rounds too. The
-// ballot values and rng consumption match StepFaulty(input, k, ...)
-// exactly.
+// its streaks nor issues a resize. It keeps the reference loop's idiom
+// (per-round corruption closures and heap ballots) and is the oracle
+// the batch engine's source path is tested against.
 func (s *Switchboard) StepFaultyRef(input uint64, k int, collude, partitioned bool, rng *xrand.Rand) (voting.Outcome, bool) {
 	var corrupted func(i int) bool
 	if k > 0 {

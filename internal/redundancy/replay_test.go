@@ -132,7 +132,7 @@ func TestSelfDeliveryAfterExternalNonceJump(t *testing.T) {
 	rng := xrand.New(5)
 	var resized bool
 	for i := 0; i < 100 && !resized; i++ {
-		_, resized = sb.StepFirstK(uint64(i), 5, rng)
+		_, resized = sb.StepFaultyRef(uint64(i), 5, false, false, rng)
 	}
 	if !resized {
 		t.Fatal("controller never resized after external nonce jump")
@@ -157,47 +157,5 @@ func TestMaxNonceReserved(t *testing.T) {
 	if sb.Farm().N() != 3 || sb.Rejected() != 1 {
 		t.Fatalf("farm=%d rejected=%d after reserved nonce, want 3 and 1",
 			sb.Farm().N(), sb.Rejected())
-	}
-}
-
-// TestStepFirstKMatchesStep asserts the zero-alloc step is round-for-
-// round identical to the closure step, resizes included.
-func TestStepFirstKMatchesStep(t *testing.T) {
-	mk := func() *Switchboard { return newTestSwitchboard(t) }
-	a, b := mk(), mk()
-	rngA, rngB := xrand.New(99), xrand.New(99)
-	env := xrand.New(123)
-	for i := 0; i < 5000; i++ {
-		k := 0
-		if env.Bool(0.05) {
-			k = env.Intn(4)
-		}
-		kk := k
-		oa, ra := a.Step(uint64(i), func(j int) bool { return j < kk }, rngA)
-		ob, rb := b.StepFirstK(uint64(i), k, rngB)
-		if ra != rb || oa.N != ob.N || oa.Dissent != ob.Dissent ||
-			oa.DTOF != ob.DTOF || oa.HasMajority != ob.HasMajority {
-			t.Fatalf("step %d diverged: (%+v,%v) vs (%+v,%v)", i, oa, ra, ob, rb)
-		}
-	}
-	if a.Resizes() != b.Resizes() || a.Controller().N() != b.Controller().N() {
-		t.Fatalf("final state diverged: resizes %d/%d n %d/%d",
-			a.Resizes(), b.Resizes(), a.Controller().N(), b.Controller().N())
-	}
-	if a.Resizes() == 0 {
-		t.Fatal("scenario produced no resizes; weaken nothing, strengthen the storm")
-	}
-}
-
-// TestStepFirstKConsensusZeroAlloc asserts the switchboard-level
-// consensus path allocates nothing.
-func TestStepFirstKConsensusZeroAlloc(t *testing.T) {
-	sb := newTestSwitchboard(t)
-	input := uint64(0)
-	if allocs := testing.AllocsPerRun(10000, func() {
-		input++
-		sb.StepFirstK(input, 0, nil)
-	}); allocs != 0 {
-		t.Fatalf("consensus step allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -17,7 +17,7 @@ func drive(sb *Switchboard, rounds int, seed uint64) {
 		if i%97 == 0 {
 			k = 2
 		}
-		sb.StepFirstK(uint64(i), k, rng)
+		sb.StepFaultyRef(uint64(i), k, false, false, rng)
 	}
 }
 
@@ -44,8 +44,8 @@ func TestSwitchboardStateRoundTrip(t *testing.T) {
 		if i%53 == 0 {
 			k = 3
 		}
-		ao, ar := orig.StepFirstK(uint64(i), k, rng)
-		bo, br := clone.StepFirstK(uint64(i), k, cloneRng)
+		ao, ar := orig.StepFaultyRef(uint64(i), k, false, false, rng)
+		bo, br := clone.StepFaultyRef(uint64(i), k, false, false, cloneRng)
 		if ao.N != bo.N || ao.DTOF != bo.DTOF || ao.Dissent != bo.Dissent || ar != br {
 			t.Fatalf("round %d diverged: %+v/%v vs %+v/%v", i, ao, ar, bo, br)
 		}
@@ -106,7 +106,7 @@ func TestFarmStateRoundTrip(t *testing.T) {
 	}
 	rng := xrand.New(3)
 	for i := 0; i < 100; i++ {
-		farm.RoundFirstK(uint64(i), i%7, rng)
+		farm.Round(uint64(i), func(j int) bool { return j < i%7 }, rng)
 	}
 	st := farm.ExportState()
 

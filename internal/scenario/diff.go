@@ -16,11 +16,11 @@ type DiffReport struct {
 	Transcript string
 }
 
-// Differential replays the scenario's organ track — the exact
-// corruption-count stream the Runner feeds the switchboard — through
-// both the fused experiments.Campaign engine and the pre-engine
-// reference loop, and fails unless every observable outcome is
-// identical: the rendered Fig. 7 transcript (occupancy histogram,
+// Differential replays the scenario's organ track — the exact fault
+// stream the Runner feeds the switchboard — through both campaign
+// engines, the width-1 batch (experiments.NewCampaignWithSource) and
+// the reference loop the Runner itself steps, and fails unless every
+// observable outcome is identical: the rendered Fig. 7 transcript (occupancy histogram,
 // failures, replica-rounds, time at minimal redundancy) and the
 // controller's raise/lower decisions. It returns an error describing
 // the first divergence, or the shared report on parity.
@@ -63,15 +63,15 @@ func Differential(spec Spec, seed uint64) (DiffReport, error) {
 	engT := experiments.RenderFig7(engRes, spec.Policy.Min)
 	refT := experiments.RenderFig7(refRes, spec.Policy.Min)
 	if engT != refT {
-		return rep, fmt.Errorf("scenario %s: fused engine and reference loop diverge:\n--- fused\n%s--- reference\n%s",
+		return rep, fmt.Errorf("scenario %s: batch engine and reference loop diverge:\n--- batch\n%s--- reference\n%s",
 			spec.Name, engT, refT)
 	}
 	if engRes.Raises != refRes.Raises || engRes.Lowers != refRes.Lowers {
-		return rep, fmt.Errorf("scenario %s: controller decisions diverge: fused %d/%d raises/lowers, reference %d/%d",
+		return rep, fmt.Errorf("scenario %s: controller decisions diverge: batch %d/%d raises/lowers, reference %d/%d",
 			spec.Name, engRes.Raises, engRes.Lowers, refRes.Raises, refRes.Lowers)
 	}
 	if engRes.Rounds != refRes.Rounds {
-		return rep, fmt.Errorf("scenario %s: round counts diverge: fused %d, reference %d",
+		return rep, fmt.Errorf("scenario %s: round counts diverge: batch %d, reference %d",
 			spec.Name, engRes.Rounds, refRes.Rounds)
 	}
 	rep.Transcript = engT

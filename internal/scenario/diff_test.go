@@ -6,7 +6,7 @@ import (
 )
 
 // TestDifferentialParity proves, for every committed scenario, that the
-// fused campaign engine and the pre-engine reference loop agree on the
+// batch campaign engine and the pre-engine reference loop agree on the
 // organ track's complete outcome — the scenario suite doubles as a
 // standing differential test of the §3.3 hot path.
 func TestDifferentialParity(t *testing.T) {
@@ -44,7 +44,7 @@ func TestDifferentialAcrossSeeds(t *testing.T) {
 // TestDifferentialMatchesRunner anchors the differential replay to the
 // Runner itself: the corruption track the diff engines consume must be
 // the one the live run fed the switchboard, so the three paths (runner,
-// fused, reference) all describe the same campaign.
+// batch, reference) all describe the same campaign.
 func TestDifferentialMatchesRunner(t *testing.T) {
 	for _, name := range []string{"storm-ramp", "transient-burst", "teardown"} {
 		spec, ok := Builtin(name)

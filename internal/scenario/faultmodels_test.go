@@ -114,7 +114,7 @@ func TestSkewShootsHealthyTask(t *testing.T) {
 	}
 }
 
-// TestNewFaultModelsDifferential: the fused and reference engines agree
+// TestNewFaultModelsDifferential: the batch and reference engines agree
 // on organ tracks exercising all three new models at once.
 func TestNewFaultModelsDifferential(t *testing.T) {
 	spec := Spec{
@@ -140,6 +140,6 @@ func TestNewFaultModelsDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Differential(spec, 0); err != nil {
-		t.Fatalf("fused and reference engines diverge on the new fault models: %v", err)
+		t.Fatalf("batch and reference engines diverge on the new fault models: %v", err)
 	}
 }

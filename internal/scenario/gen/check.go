@@ -4,7 +4,7 @@
 // *which* failure it is preserving, or it will happily "minimize" an
 // alpha-monotone violation into an unrelated panic. A failure
 // signature is a short string — "invariant:<name>" for the first
-// invariant violation, "diff" for a fused-vs-reference divergence,
+// invariant violation, "diff" for a batch-vs-reference divergence,
 // "panic" for a runtime panic anywhere in the run, "error" for a run
 // the harness refuses — and two specs fail the same way exactly when
 // their signatures are equal.
@@ -19,7 +19,7 @@ import (
 
 // Failure signatures that are not invariant names.
 const (
-	// SigDiff marks a fused-vs-reference differential divergence.
+	// SigDiff marks a batch-vs-reference differential divergence.
 	SigDiff = "diff"
 	// SigPanic marks a runtime panic during the run.
 	SigPanic = "panic"
@@ -28,7 +28,7 @@ const (
 )
 
 // Check runs the spec under the invariant sweep and, when diff is set,
-// the fused-vs-reference differential replay, and classifies the
+// the batch-vs-reference differential replay, and classifies the
 // outcome: an empty signature means the spec passes, anything else
 // names the failure. detail carries the human-readable evidence.
 func Check(spec scenario.Spec, diff bool) (sig, detail string) {
@@ -73,7 +73,7 @@ type Finding struct {
 
 // Options configure a fuzz campaign.
 type Options struct {
-	// Diff adds the fused-vs-reference differential replay to every
+	// Diff adds the batch-vs-reference differential replay to every
 	// spec's check.
 	Diff bool
 	// Shrink minimizes every failing spec before reporting it.

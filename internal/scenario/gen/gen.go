@@ -1,7 +1,7 @@
 // Package gen is the generative half of the chaos harness: a
 // seed-deterministic random generator over the full scenario.Spec
 // space, a checker that classifies how a generated spec fails (an
-// invariant violation, a fused-vs-reference differential divergence, a
+// invariant violation, a batch-vs-reference differential divergence, a
 // panic), and a shrinker that minimizes a failing spec while
 // preserving the exact failure.
 //

@@ -66,7 +66,7 @@ func TestGeneratorSpecsValid(t *testing.T) {
 }
 
 // TestGeneratedSpecsRun: a slice of the corpus runs clean end to end —
-// invariants hold and the fused and reference engines agree on every
+// invariants hold and the batch and reference engines agree on every
 // generated organ track, colluding and partitioned rounds included.
 func TestGeneratedSpecsRun(t *testing.T) {
 	g := New(11)

@@ -213,7 +213,7 @@ func (r *runner) applySabotage(now int64) {
 	case InvTeardownQuiet:
 		mid := r.spec.TeardownAt + (r.spec.Horizon-r.spec.TeardownAt)/2
 		if now == mid && r.torn {
-			r.camp.Switchboard().Farm().RoundFirstK(0, 0, nil)
+			r.camp.Switchboard().Farm().Round(0, nil, nil)
 		}
 	}
 }

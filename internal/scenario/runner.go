@@ -109,7 +109,7 @@ func (o organSource) Faults(step int64) experiments.StepFaults {
 }
 
 // pushSource feeds the Runner's per-step fault environment into the
-// fused campaign engine: the Runner derives the strike's organ effect
+// reference campaign: the Runner derives the strike's organ effect
 // from the shared phase program, pushes it here, and steps the
 // campaign.
 type pushSource struct {
@@ -150,7 +150,7 @@ type runner struct {
 	sched *simclock.Scheduler
 	prog  *program
 
-	camp *experiments.Campaign
+	camp *experiments.ReferenceCampaign
 	push *pushSource
 	torn bool
 
@@ -220,7 +220,7 @@ func newRunner(spec Spec, opt Options) (*runner, error) {
 	}
 	if spec.Organ {
 		r.push = &pushSource{}
-		if r.camp, err = experiments.NewCampaignWithSource(organConfig(spec, seed), r.push); err != nil {
+		if r.camp, err = experiments.NewReferenceCampaignWithSource(organConfig(spec, seed), r.push); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,10 @@
 // Package scenario is the deterministic cross-strategy chaos harness:
 // scripted fault-injection campaigns composed from internal/faults
 // models, driven on internal/simclock, hitting the three strategy
-// implementations at once — the §3.3 redundancy organ (the fused
-// experiments.Campaign engine), a §3.2 accada.AdaptiveExecutor, and
-// watchdog timers.
+// implementations at once — the §3.3 redundancy organ (an
+// experiments.ReferenceCampaign, whose real switchboard the resize
+// attacks and sabotage hooks reach into), a §3.2
+// accada.AdaptiveExecutor, and watchdog timers.
 //
 // A Scenario is a declarative, JSON-serializable spec: named phases of
 // fault campaigns, each phase steering a stochastic model (Bernoulli,
@@ -14,9 +15,9 @@
 // the golden-transcript tests commit one transcript per builtin
 // scenario and replay them on every run. Invariant checkers evaluate
 // the paper's safety properties every simulated step, and the
-// differential mode replays each scenario's organ track through both
-// the fused campaign engine and the pre-engine reference loop,
-// asserting identical outcomes.
+// differential mode replays each scenario's organ track through both of
+// the repository's campaign engines — the width-1 batch engine and the
+// reference loop — asserting identical outcomes.
 package scenario
 
 import (

@@ -403,7 +403,7 @@ func (r *runner) restore(snap *checkpoint.Snapshot, st runnerState) error {
 		if err != nil {
 			return err
 		}
-		camp, err := experiments.RestoreCampaignWithSource(organSnap, r.push)
+		camp, err := experiments.RestoreReferenceCampaignWithSource(organSnap, r.push)
 		if err != nil {
 			return err
 		}

@@ -29,6 +29,13 @@ func resumeEqualsStraight(t *testing.T, spec Spec, at int64) {
 	if err != nil {
 		t.Fatalf("resume from %d: %v", at, err)
 	}
+	assertSameRun(t, spec, at, straight, resumed)
+}
+
+// assertSameRun compares every observable of a run resumed from step
+// at against the uninterrupted run.
+func assertSameRun(t *testing.T, spec Spec, at int64, straight, resumed *Result) {
+	t.Helper()
 	if resumed.Transcript != straight.Transcript {
 		t.Fatalf("%s: transcript resumed from step %d diverges from the straight run\n--- straight\n%s\n--- resumed\n%s",
 			spec.Name, at, straight.Transcript, resumed.Transcript)
@@ -51,6 +58,41 @@ func resumeEqualsStraight(t *testing.T, spec Spec, at int64) {
 	if counters(resumed) != counters(straight) {
 		t.Fatalf("%s at %d: counters diverged:\n%+v\nvs\n%+v", spec.Name, at, resumed, straight)
 	}
+}
+
+// fusedScenarioFixture is an aft-chaos checkpoint whose organ section
+// the fused scalar engine of earlier versions wrote (organ meta
+// "fused"): Checkpoint of the storm-replay builtin at step 2000, with
+// its default seed — mid-storm, the organ at 9 replicas after 3 raises.
+const fusedScenarioFixture = "testdata/fused-storm-replay.ckpt"
+
+// TestResumeFusedOrganCheckpoint resumes fusedScenarioFixture on today's
+// organ: the run must finish exactly as an uninterrupted one.
+func TestResumeFusedOrganCheckpoint(t *testing.T) {
+	snap, err := checkpoint.ReadFile(fusedScenarioFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	organ, err := checkpoint.Decode(snap.Section("organ"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := string(organ.Section("meta")); meta != "fused" {
+		t.Fatalf("fixture organ meta %q, want fused", meta)
+	}
+	spec, ok := Builtin("storm-replay")
+	if !ok {
+		t.Fatal("storm-replay builtin missing")
+	}
+	straight, err := Run(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, spec, 2000, straight, resumed)
 }
 
 // TestCheckpointResumeEveryBuiltin is the chaos-side crash-resume

@@ -6,6 +6,9 @@ import (
 	"aft/internal/xrand"
 )
 
+// firstK is the corruption predicate of the first k replicas.
+func firstK(k int) func(int) bool { return func(i int) bool { return i < k } }
+
 // TestColludingMajorityElectsWrongValue is the point of the model: a
 // colluding group of more than n/2 replicas elects a wrong majority,
 // where the same number of independently-failing replicas almost never
@@ -16,7 +19,7 @@ func TestColludingMajorityElectsWrongValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(1)
-	o := farm.RoundColluding(42, 3, rng)
+	o := farm.RoundShared(42, firstK(3), rng)
 	if !o.HasMajority {
 		t.Fatalf("3 of 5 colluders did not form a majority: %+v", o)
 	}
@@ -36,7 +39,7 @@ func TestColludingMajorityElectsWrongValue(t *testing.T) {
 	// The independent storm of the same intensity: three distinct wrong
 	// values, no majority for any of them — detectable dissent instead
 	// of a silent wrong consensus.
-	indep := farm.RoundFirstK(42, 3, xrand.New(1))
+	indep := farm.Round(42, firstK(3), xrand.New(1))
 	if indep.HasMajority && !indep.Correct {
 		t.Fatalf("independent faults happened to collude under seed 1; pick another seed: %v", indep.Votes)
 	}
@@ -51,7 +54,7 @@ func TestColludingMinorityIsOutvoted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := farm.RoundColluding(7, 3, xrand.New(2))
+	o := farm.RoundShared(7, firstK(3), xrand.New(2))
 	if !o.HasMajority || !o.Correct {
 		t.Fatalf("4 honest of 7 lost the vote: %+v", o)
 	}
@@ -60,48 +63,53 @@ func TestColludingMinorityIsOutvoted(t *testing.T) {
 	}
 }
 
-// TestColludingSharedParity: RoundColluding and RoundShared (the
-// fused and reference idioms) produce identical outcomes and identical
-// rng consumption from the same state — the property the scenario
-// differential replay depends on.
+// TestColludingSharedParity: RoundShared and the packed-ballot form of
+// a colluding round the batch campaign engine runs — one CorruptValue
+// draw shared by the first k replicas, tallied by TallyWords — produce
+// identical outcomes and identical rng consumption from the same state.
 func TestColludingSharedParity(t *testing.T) {
-	for _, k := range []int{0, 1, 2, 3, 5, 7, 9} {
-		fused, err := NewFarm(7, ident)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewFarm(7, ident)
+	const n = 7
+	words := make([]uint64, DissentWords(n))
+	vals := make([]uint64, n)
+	for _, k := range []int{0, 1, 2, 3, 5, 7} {
+		ref, err := NewFarm(n, ident)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, b := xrand.New(99), xrand.New(99)
 		for round := uint64(0); round < 50; round++ {
-			fo := fused.RoundColluding(round, k, a)
-			kk := k
-			ro := ref.RoundShared(round, func(i int) bool { return i < kk }, b)
-			if fo.HasMajority != ro.HasMajority || fo.Value != ro.Value ||
-				fo.Dissent != ro.Dissent || fo.DTOF != ro.DTOF || fo.Correct != ro.Correct {
-				t.Fatalf("k=%d round %d: fused %+v vs reference %+v", k, round, fo, ro)
+			ro := ref.RoundShared(round, firstK(k), a)
+			for i := 0; i < k; i++ {
+				if i == 0 {
+					vals[0] = CorruptValue(round, b)
+				} else {
+					vals[i] = vals[0]
+				}
 			}
-			if a.Uint64() != b.Uint64() {
+			SetFirstK(words, k)
+			po := TallyWords(n, round, words, vals[:k], nil)
+			if po.HasMajority != ro.HasMajority || po.Value != ro.Value ||
+				po.Dissent != ro.Dissent || po.DTOF != ro.DTOF || po.Correct != ro.Correct {
+				t.Fatalf("k=%d round %d: packed %+v vs RoundShared %+v", k, round, po, ro)
+			}
+			if a.State() != b.State() {
 				t.Fatalf("k=%d round %d: rng streams diverged", k, round)
 			}
-			// Re-sync after the probe draw.
-			a, b = xrand.New(round), xrand.New(round)
 		}
 	}
 }
 
-// TestColludingClampsK mirrors RoundFirstK's clamping contract.
+// TestColludingClampsK: a group size below zero corrupts no replica,
+// one above n corrupts all of them.
 func TestColludingClampsK(t *testing.T) {
 	farm, err := NewFarm(3, ident)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := farm.RoundColluding(1, -4, xrand.New(3)); o.Failed() {
+	if o := farm.RoundShared(1, firstK(-4), xrand.New(3)); o.Failed() {
 		t.Fatalf("negative k corrupted the round: %+v", o)
 	}
-	o := farm.RoundColluding(1, 100, xrand.New(3))
+	o := farm.RoundShared(1, firstK(100), xrand.New(3))
 	if !o.Failed() || o.Dissent != 0 {
 		// All replicas collude: unanimous wrong consensus.
 		t.Fatalf("over-dimensioned k did not corrupt every replica: %+v", o)
@@ -109,8 +117,8 @@ func TestColludingClampsK(t *testing.T) {
 }
 
 // TestColludingZeroKConsumesNoRandomness: rng is untouched when no
-// replica colludes, so fused and reference streams stay aligned across
-// calm rounds.
+// replica colludes, so the batch engine and the reference loop keep
+// their streams aligned across calm rounds.
 func TestColludingZeroKConsumesNoRandomness(t *testing.T) {
 	farm, err := NewFarm(3, ident)
 	if err != nil {
@@ -118,7 +126,7 @@ func TestColludingZeroKConsumesNoRandomness(t *testing.T) {
 	}
 	rng := xrand.New(4)
 	before := rng.State()
-	farm.RoundColluding(5, 0, rng)
+	farm.RoundShared(5, firstK(0), rng)
 	farm.RoundShared(5, nil, rng)
 	farm.RoundShared(5, func(int) bool { return false }, rng)
 	if rng.State() != before {

@@ -10,7 +10,7 @@
 // Only when golden lacks a strict majority are the ballots materialized
 // and handed to the exact scalar tally, so the tie-break semantics
 // (first-appearance order, golden preferred on count ties) are shared
-// with Round/RoundFirstK by construction, not by reimplementation.
+// with Round by construction, not by reimplementation.
 
 package voting
 

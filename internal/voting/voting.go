@@ -68,10 +68,6 @@ func (o Outcome) Failed() bool { return !o.HasMajority || !o.Correct }
 type Farm struct {
 	method Method
 	n      int
-	// buf is the reusable ballot buffer of the allocation-free fast path
-	// (RoundFirstK). It is sized by SetReplicas and never shrinks, so the
-	// 65-million-round campaigns of Fig. 7 run without per-round garbage.
-	buf []uint64
 
 	rounds   int64
 	failures int64
@@ -103,9 +99,6 @@ func (f *Farm) SetReplicas(n int) error {
 		return fmt.Errorf("voting: replica count %d must be odd", n)
 	}
 	f.n = n
-	if cap(f.buf) < n {
-		f.buf = make([]uint64, n)
-	}
 	return nil
 }
 
@@ -130,85 +123,16 @@ func (f *Farm) Round(input uint64, corrupted func(i int) bool, rng *xrand.Rand) 
 	return o
 }
 
-// RoundFirstK executes one replicated computation where the environment
-// corrupts the first k replicas — the storm model of the §3.3
-// experiments, where a disturbance of intensity k hits k replicas at
-// once. It is the allocation-free fast path behind the campaign engine:
-// ballots are written into the farm's reusable buffer and tallied
-// without a map, so a consensus round performs zero heap allocations.
-//
-// The returned Outcome's Votes slice aliases the reusable buffer and is
-// only valid until the next round on this farm. rng supplies the
-// corrupted values; it may be nil when k == 0. The ballot values and the
-// rng consumption are identical to Round(input, func(i int) bool
-// { return i < k }, rng).
-func (f *Farm) RoundFirstK(input uint64, k int, rng *xrand.Rand) Outcome {
-	golden := f.method(input)
-	votes := f.buf[:f.n]
-	if k > f.n {
-		k = f.n
-	}
-	if k < 0 {
-		k = 0
-	}
-	for i := 0; i < k; i++ {
-		votes[i] = corruptValue(golden, rng)
-	}
-	for i := k; i < f.n; i++ {
-		votes[i] = golden
-	}
-	o := tally(votes, golden)
-	f.rounds++
-	if o.Failed() {
-		f.failures++
-	}
-	return o
-}
-
-// RoundColluding executes one replicated computation where the first k
-// replicas are a colluding (Byzantine) voter group: instead of failing
-// independently, all k submit the same wrong value, drawn once from
-// rng. A group of more than n/2 colluders therefore elects a wrong
-// majority that an independent-fault storm of the same intensity almost
-// never produces — the fault model behind the chaos harness's
-// "collude" phases.
-//
-// Like RoundFirstK, ballots go through the farm's reusable buffer (the
-// returned Votes alias it) and k is clamped to [0, n]. rng is consumed
-// exactly once when k > 0, whatever k is.
-func (f *Farm) RoundColluding(input uint64, k int, rng *xrand.Rand) Outcome {
-	golden := f.method(input)
-	votes := f.buf[:f.n]
-	if k > f.n {
-		k = f.n
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > 0 {
-		shared := corruptValue(golden, rng)
-		for i := 0; i < k; i++ {
-			votes[i] = shared
-		}
-	}
-	for i := k; i < f.n; i++ {
-		votes[i] = golden
-	}
-	o := tally(votes, golden)
-	f.rounds++
-	if o.Failed() {
-		f.failures++
-	}
-	return o
-}
-
-// RoundShared is the reference-loop idiom of RoundColluding: corrupted
-// reports, per replica index, membership in the colluding group, and
-// every member casts the same wrong value, drawn once from rng on the
-// first corrupted replica. Ballots are heap-allocated per round, like
-// Round. The ballot values and the rng consumption are identical to
-// RoundColluding(input, k, rng) when corrupted is i < k, which is what
-// the differential replay asserts.
+// RoundShared executes one replicated computation where the corrupted
+// replicas are a colluding (Byzantine) voter group: corrupted reports,
+// per replica index, membership in the group, and every member casts
+// the same wrong value, drawn once from rng on the first corrupted
+// replica. A group of more than n/2 colluders therefore elects a wrong
+// majority that independent faults of the same intensity almost never
+// produce — the fault model behind the chaos harness's "collude"
+// phases. Ballots are heap-allocated per round, like Round; the batch
+// campaign engine reproduces the same ballots and rng consumption on
+// packed words.
 func (f *Farm) RoundShared(input uint64, corrupted func(i int) bool, rng *xrand.Rand) Outcome {
 	golden := f.method(input)
 	votes := make([]uint64, f.n)

@@ -250,6 +250,32 @@ func TestOutcomeDTOFConsistencyProperty(t *testing.T) {
 	}
 }
 
+// TestTallySmallMatchesMap cross-checks the stack tally against the map
+// tally on random ballot multisets drawn from a tiny alphabet (to force
+// collisions, ties, and wrong majorities).
+func TestTallySmallMatchesMap(t *testing.T) {
+	rng := xrand.New(42)
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(smallOrgan) + 1
+		votes := make([]uint64, n)
+		for i := range votes {
+			votes[i] = uint64(rng.Intn(4)) // alphabet {0..3}
+		}
+		golden := uint64(rng.Intn(4))
+		a := tallySmall(votes, golden)
+		b := tallyMap(votes, golden)
+		if a.HasMajority != b.HasMajority || a.Dissent != b.Dissent ||
+			a.DTOF != b.DTOF || a.Correct != b.Correct {
+			t.Fatalf("tally mismatch on %v golden=%d: small=%+v map=%+v",
+				votes, golden, a, b)
+		}
+		if a.HasMajority && a.Value != b.Value {
+			t.Fatalf("majority value mismatch on %v golden=%d: %d vs %d",
+				votes, golden, a.Value, b.Value)
+		}
+	}
+}
+
 func BenchmarkRoundClean(b *testing.B) {
 	f, err := NewFarm(7, ident)
 	if err != nil {
