@@ -22,7 +22,17 @@
 //
 // Producers serialize fixed-width payloads with Writer and parse them
 // with Reader (a sticky-error decoder), or store JSON in a section when
-// the payload is cold. Compatibility rules are documented in DESIGN.md:
+// the payload is cold.
+//
+// Two durable write primitives sit beside the container. WriteFileAtomic
+// (temp file, fsync, rename) replaces a file whole and suits anything
+// written once with no second copy. WriteFileInPlace overwrites a file
+// in place and fsyncs it, which costs a fraction of the temp file and
+// rename; it is crash-safe only in a pair of slots written alternately,
+// where a torn overwrite fails the CRC and the other slot still holds
+// the previous snapshot (the job store's campaign checkpoints).
+//
+// Compatibility rules are documented in DESIGN.md:
 // the container version only changes when this file's layout changes;
 // kind versions change whenever a producer's section schema changes, and
 // there is no cross-version migration — a snapshot is a cache of a
@@ -35,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -202,8 +213,8 @@ func (s *Snapshot) WriteFile(path string) error {
 // are created as needed, the bytes land in a same-directory temporary
 // file, are fsynced, and are renamed into place, so a crash mid-write
 // can never leave a half-written file where a reader will look for a
-// whole one. It is the one crash-safe write primitive shared by the
-// snapshot container, the sweep-cell memo cache, and the job store.
+// whole one. It backs the snapshot container, the sweep-cell memo
+// cache, and the job store's spec and result files.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -231,6 +242,74 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	//aftvet:allow atomicwrite -- this IS the atomic-write primitive: the one sanctioned rename every persistence package routes through
 	return os.Rename(tmp.Name(), path)
+}
+
+// WriteFileInPlace durably overwrites path with data without replacing
+// the file: a missing file is created (parent directories too) and its
+// directory fsynced, then the bytes are written at offset 0, the file is
+// truncated to len(data) and fsynced. It costs no new inode and no
+// rename, but a crash mid-write can leave path torn — a mix of old and
+// new bytes that the container CRC rejects. Callers therefore keep two
+// slot files and overwrite the one that does not hold the last
+// acknowledged snapshot, so a torn slot always has an intact partner.
+// Anything without a second copy uses WriteFileAtomic.
+func WriteFileInPlace(path string, data []byte) error {
+	//aftvet:allow atomicwrite -- the in-place primitive: overwriting an existing slot is its whole point, and a torn slot fails the CRC beside an intact partner
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = createDurable(path)
+	}
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	// A shorter snapshot than the slot held leaves a stale tail; cut it,
+	// or the CRC trailer would not be the file's last four bytes.
+	if err := f.Truncate(int64(len(data))); err != nil {
+		_ = f.Close() // the truncate error is the one to report
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close() // the sync error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
+// createDurable creates path (and its parent directories) and fsyncs
+// the directory, so the new entry survives a machine crash before the
+// first overwrite is acknowledged.
+func createDurable(path string) (*os.File, error) {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	//aftvet:allow atomicwrite -- creates an empty slot for WriteFileInPlace; the caller's overwrite and fsync follow
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		_ = f.Close() // the directory sync error is the one to report
+		return nil, err
+	}
+	return f, nil
+}
+
+// syncDir fsyncs a directory, making its entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close() // the sync error is the one to report
+		return err
+	}
+	return d.Close()
 }
 
 // ReadFile reads and decodes a snapshot file.

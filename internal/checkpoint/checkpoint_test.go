@@ -188,6 +188,42 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteFileInPlace asserts the first write creates the file (and
+// its parent directory), and a shorter rewrite still decodes: the stale
+// tail of the longer snapshot is cut, so the CRC trailer is last.
+func TestWriteFileInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job", "slot.ckpt")
+	long := sample()
+	long.Add("padding", bytes.Repeat([]byte{0xAB}, 512))
+	if err := WriteFileInPlace(path, long.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("first write left no file: %v", err)
+	}
+	if got, err := ReadFile(path); err != nil || !bytes.Equal(got.Encode(), long.Encode()) {
+		t.Fatalf("first write does not read back: %v", err)
+	}
+	short := sample()
+	if err := WriteFileInPlace(path, short.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("shorter rewrite does not decode: %v", err)
+	}
+	if !bytes.Equal(got.Encode(), short.Encode()) || got.Has("padding") {
+		t.Fatal("shorter rewrite altered the snapshot")
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries, want just the slot", len(entries))
+	}
+}
+
 // TestReaderSticky asserts a short read poisons the reader: later calls
 // return zero values and Close reports the first error.
 func TestReaderSticky(t *testing.T) {
@@ -216,3 +252,25 @@ func TestReaderSticky(t *testing.T) {
 		t.Fatal("hostile I64s length accepted")
 	}
 }
+
+// benchmarkWrite times one durable write of a job-store-sized snapshot
+// (about 700 bytes) on the test's temporary directory.
+func benchmarkWrite(b *testing.B, write func(path string, data []byte) error) {
+	data := sample()
+	data.Add("state", bytes.Repeat([]byte{0x5A}, 600))
+	encoded := data.Encode()
+	path := filepath.Join(b.TempDir(), "slot.ckpt")
+	b.SetBytes(int64(len(encoded)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := write(path, encoded); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteFileAtomic is the temp file + fsync + rename write.
+func BenchmarkWriteFileAtomic(b *testing.B) { benchmarkWrite(b, WriteFileAtomic) }
+
+// BenchmarkWriteFileInPlace is the in-place overwrite + fsync write.
+func BenchmarkWriteFileInPlace(b *testing.B) { benchmarkWrite(b, WriteFileInPlace) }

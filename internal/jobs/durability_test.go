@@ -100,7 +100,7 @@ func TestGracefulCloseParksAndResumes(t *testing.T) {
 	if res, err := s1.store.readResult(st.ID); err != nil || res != nil {
 		t.Fatalf("parked job has a result on disk: %v %v", res, err)
 	}
-	if snap := s1.store.readCheckpoint(st.ID); snap == nil {
+	if snap := storedCheckpoint(s1.store, st.ID); snap == nil {
 		t.Fatal("parked job has no checkpoint on disk")
 	}
 

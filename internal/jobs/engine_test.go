@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +40,25 @@ func checkpointRounds(t *testing.T, snap *checkpoint.Snapshot) int64 {
 		t.Fatalf("stored checkpoint does not restore: %v", err)
 	}
 	return c.Rounds()
+}
+
+// storedCheckpoint is the snapshot recovery would resume a job from:
+// the newest of its two checkpoint slots that restores, or nil.
+func storedCheckpoint(st *store, id string) *checkpoint.Snapshot {
+	if c, slot, _ := st.recoverCheckpoint(id); c != nil {
+		return st.readCheckpoint(id, slot)
+	}
+	return nil
+}
+
+// readSlotFile reads and decodes one checkpoint slot file.
+func readSlotFile(t *testing.T, path string) *checkpoint.Snapshot {
+	t.Helper()
+	snap, err := checkpoint.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // fusedFixture is a campaign checkpoint the fused scalar engine of
@@ -78,9 +99,11 @@ func snapshotEngine(t *testing.T, snap *checkpoint.Snapshot) string {
 
 // TestFusedCheckpointStoreUpgrades recovers a store whose campaign
 // checkpoint the fused engine wrote, as a store from before campaign
-// jobs moved to the batch engine holds. The new server resumes it, its
-// own checkpoint replaces the fused one with a batch one, and the final
-// record is the uninterrupted run's, resumed flag aside.
+// jobs moved to the batch engine holds — and, like every store from
+// before the two checkpoint slots, in the single file
+// checkpoint.aftckpt. The new server resumes it, writes its own batch
+// checkpoint to slot 1 beside the fused one, and the final record is
+// the uninterrupted run's, resumed flag aside.
 func TestFusedCheckpointStoreUpgrades(t *testing.T) {
 	snap, cfg := readFusedFixture(t)
 	dir := t.TempDir()
@@ -95,12 +118,18 @@ func TestFusedCheckpointStoreUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s0.store.writeCheckpoint(st.ID, snap); err != nil {
+	// The old single-file layout, written the way older builds wrote it.
+	legacy := filepath.Join(dir, "jobs", st.ID, "checkpoint.aftckpt")
+	if err := checkpoint.WriteFileAtomic(legacy, snap.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	s0.Close()
-	if got := snapshotEngine(t, s0.store.readCheckpoint(st.ID)); got != "fused" {
+	if got := snapshotEngine(t, storedCheckpoint(s0.store, st.ID)); got != "fused" {
 		t.Fatalf("seeded checkpoint written by %q, want fused", got)
+	}
+	slot1 := filepath.Join(dir, "jobs", st.ID, "checkpoint.1.aftckpt")
+	if _, err := os.Stat(slot1); !os.IsNotExist(err) {
+		t.Fatalf("old store already has a slot-1 file: %v", err)
 	}
 
 	// The new server: killed right after its first checkpoint, which
@@ -118,12 +147,20 @@ func TestFusedCheckpointStoreUpgrades(t *testing.T) {
 	if s1.resumedJobs.Value() != 1 {
 		t.Fatalf("resumed %d jobs from the fused checkpoint, want 1", s1.resumedJobs.Value())
 	}
-	ckpt := s1.store.readCheckpoint(st.ID)
+	ckpt := storedCheckpoint(s1.store, st.ID)
 	if got := snapshotEngine(t, ckpt); got != "batch" {
 		t.Fatalf("server wrote a %q checkpoint, want batch", got)
 	}
 	if got := checkpointRounds(t, ckpt); got != 21_000 {
 		t.Fatalf("server checkpoint at round %d, want 21000 (fused 12000 + one 9000 chunk)", got)
+	}
+	// The first write after the upgrade went to slot 1; slot 0 still
+	// holds the acknowledged fused checkpoint it superseded.
+	if got := checkpointRounds(t, readSlotFile(t, slot1)); got != 21_000 {
+		t.Fatalf("slot 1 at round %d, want the new 21000 checkpoint", got)
+	}
+	if got := snapshotEngine(t, readSlotFile(t, legacy)); got != "fused" {
+		t.Fatalf("slot 0 written by %q, want the untouched fused checkpoint", got)
 	}
 
 	s2 := newTestServer(t, Options{Dir: dir, Workers: 1, CheckpointEvery: 9_000})
@@ -169,7 +206,7 @@ func TestSampledCampaignKillResumeMatchesReference(t *testing.T) {
 		t.Fatal("crash hook never fired")
 	}
 	s1.Close()
-	if got := checkpointRounds(t, s1.store.readCheckpoint(st.ID)); got != 5_000 {
+	if got := checkpointRounds(t, storedCheckpoint(s1.store, st.ID)); got != 5_000 {
 		t.Fatalf("killed at round %d, want 5000", got)
 	}
 
@@ -231,7 +268,7 @@ func TestFleetChainAcceptsFusedUploadMidChain(t *testing.T) {
 			}
 		}
 		if shard < 2 {
-			if got := snapshotEngine(t, s.store.readCheckpoint(st.ID)); got != engine {
+			if got := snapshotEngine(t, storedCheckpoint(s.store, st.ID)); got != engine {
 				t.Fatalf("shard %d stored a %q checkpoint, want the uploaded %s one", shard, got, engine)
 			}
 		}

@@ -233,6 +233,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	info.Granted++
 	info.Active++
+	// The grant ships the stored checkpoint; a campaign the shard
+	// hand-back restored would otherwise stay in memory for the job's
+	// whole life.
+	j.restored = nil
 	s.mu.Unlock()
 
 	l, err := s.leases.Acquire(j.id, req.Worker)
@@ -253,7 +257,13 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	s.leasesGranted.Inc()
 
-	rounds := j.ckptRounds.Load()
+	var (
+		rounds int64
+		snap   *checkpoint.Snapshot
+	)
+	if j.spec.Kind == KindCampaign {
+		rounds, snap = s.ackedCheckpoint(j)
+	}
 	grant := Grant{
 		Job:     j.id,
 		Kind:    j.spec.Kind,
@@ -268,13 +278,26 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		grant.CheckpointEvery = s.opts.CheckpointEvery
 		grant.RunTo = s.shardEnd(j, rounds)
 		j.runTo.Store(grant.RunTo)
-		if rounds > 0 {
-			if snap := s.store.readCheckpoint(j.id); snap != nil {
-				grant.Checkpoint = snap.Encode()
-			}
+		if snap != nil {
+			grant.Checkpoint = snap.Encode()
 		}
 	}
 	writeJSON(w, http.StatusOK, grant)
+}
+
+// ackedCheckpoint reads j's last acknowledged checkpoint from the one
+// slot the in-memory index names, with the rounds it covers; snap is
+// nil at round zero. Holding ckptMu keeps the pair consistent against a
+// stale uploader whose write passed its fence check before the lease
+// expired.
+func (s *Server) ackedCheckpoint(j *job) (rounds int64, snap *checkpoint.Snapshot) {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	rounds = j.ckptRounds.Load()
+	if rounds > 0 && j.ckptSlot != noSlot {
+		snap = s.store.readCheckpoint(j.id, j.ckptSlot)
+	}
+	return rounds, snap
 }
 
 // handleRenew extends the caller's lease; the reply carries the cancel
@@ -352,11 +375,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// uploadMu makes the fence check and the write it authorizes atomic
+	// ckptMu makes the fence check and the write it authorizes atomic
 	// per job: a delayed stale upload cannot interleave between a newer
 	// holder's check and write.
-	j.uploadMu.Lock()
-	defer j.uploadMu.Unlock()
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
 	if err := s.leases.Check(id, worker, token); err != nil {
 		s.rejectLeaseErr(w, err)
 		return
@@ -392,13 +415,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// shard-done / cancelled decision is re-sent (the first reply
 		// may have been the one the network ate).
 	default:
-		if err := s.store.writeCheckpoint(id, snap); err != nil {
+		// The body decoded and restored, and the container has one
+		// encoding, so the verified bytes are stored as they came.
+		if err := s.persistCheckpointLocked(j, body, rounds); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorReply{Error: "persist checkpoint: " + err.Error()})
 			return
 		}
-		s.checkpointsWritten.Inc()
 		s.roundsRun.Add(rounds - cur)
-		j.ckptRounds.Store(rounds)
 		j.rounds.Store(rounds)
 		s.remoteUploads.Inc()
 		s.mu.Lock()

@@ -628,3 +628,44 @@ func TestRemoteCompleteIdempotentAndRegistry(t *testing.T) {
 		t.Fatalf("zeta's registry entry %+v", z)
 	}
 }
+
+// TestFleetGrantDropsHandbackCampaign pins the memory a shard hand-back
+// holds: the campaign it restores for the next runner is released by
+// the next lease grant (which ships the stored checkpoint instead) and
+// is gone once the job is terminal, so a long fleet run does not keep
+// one campaign per finished job.
+func TestFleetGrantDropsHandbackCampaign(t *testing.T) {
+	s := newTestServer(t, Options{DisableLocalPool: true, CheckpointEvery: 2_000, ShardRounds: 4_000})
+	cfg := testCampaign(8_000, 0)
+	st, _, err := s.Submit(Spec{Kind: KindCampaign, Campaign: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitReady(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	held := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[st.ID].restored != nil
+	}
+	if driveGrant(t, s, waitLease(t, s, "w")) {
+		t.Fatal("first shard completed the job")
+	}
+	if !held() {
+		t.Fatal("shard hand-back kept no restored campaign for the next runner")
+	}
+	g := waitLease(t, s, "w")
+	if held() {
+		t.Fatal("lease grant left the hand-back campaign in memory")
+	}
+	if !driveGrant(t, s, g) {
+		t.Fatal("second shard did not complete the job")
+	}
+	if res, err := s.Wait(waitCtx(t), st.ID); err != nil || res.State != StateDone {
+		t.Fatalf("job ended %+v, %v", res, err)
+	}
+	if held() {
+		t.Fatal("terminal job still holds a campaign")
+	}
+}

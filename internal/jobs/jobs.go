@@ -12,8 +12,9 @@
 // Durability is checkpoint-backed, not best-effort: a running campaign
 // snapshots through Campaign.Snapshot and internal/checkpoint
 // every CheckpointEvery rounds, the job store is a crash-safe on-disk
-// layout (spec, checkpoint, and result each written by atomic rename),
-// and a restarted server resumes every in-flight campaign from its last
+// layout (spec and result written by atomic rename, checkpoints
+// alternating between two checksummed slots overwritten in place), and
+// a restarted server resumes every in-flight campaign from its last
 // checkpoint, whichever engine wrote it (the fused engine of earlier
 // versions included). Because snapshots restore
 // byte-identically, the final transcript of a killed-and-resumed

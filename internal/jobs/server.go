@@ -125,15 +125,22 @@ type job struct {
 	// shard end granted to a fleet worker); meaningful only while the
 	// job is leased.
 	runTo atomic.Int64
-	// uploadMu serializes fleet checkpoint uploads for this job, so a
-	// fence check and the store write it guards are atomic with respect
-	// to a competing (newer-leased) uploader.
-	uploadMu sync.Mutex
+	// ckptMu serializes this job's checkpoint writes — the local
+	// runner's and fleet uploads alike — so a fence check and the store
+	// write it guards are atomic with respect to a competing
+	// (newer-leased) uploader, and two writers never pick the same slot.
+	ckptMu sync.Mutex
+	// ckptSlot is the checkpoint slot holding the last acknowledged
+	// checkpoint, noSlot when there is none or recovery has not read the
+	// slots yet. Guarded by ckptMu. While the process lives it is
+	// authoritative; only recovery reads both slots.
+	ckptSlot int
 
 	// restored carries the width-1 batch recover() already rebuilt from
 	// the job's on-disk checkpoint, so the worker that picks the job up
 	// does not read and restore the same snapshot a second time.
-	// Guarded by Server.mu; consumed (nilled) by the worker.
+	// Guarded by Server.mu; consumed (nilled) by the local runner or a
+	// fleet lease grant, and dropped at the terminal state.
 	restored *experiments.Campaign
 
 	// submittedAt is when this server process accepted the job (zero
@@ -323,8 +330,7 @@ func (s *Server) replay() {
 	}
 	s.mu.Unlock()
 	for _, j := range pending {
-		snap := s.store.readCheckpoint(j.id)
-		if snap == nil {
+		if j.spec.Kind != KindCampaign {
 			continue
 		}
 		// Only a checkpoint that actually restores parks the job as
@@ -333,12 +339,12 @@ func (s *Server) replay() {
 		// decodes but fails the campaign cross-checks is discarded here
 		// exactly as a worker would discard it: the job recomputes from
 		// round zero rather than failing or lying.
-		c, err := experiments.RestoreCampaign(snap)
+		c, err := s.adoptCheckpoint(j)
 		s.mu.Lock()
 		if err != nil {
 			s.notes = append(s.notes,
 				fmt.Sprintf("job %s: unusable checkpoint (%v); recomputing from round zero", j.id, err))
-		} else if j.state == StateQueued {
+		} else if c != nil && j.state == StateQueued {
 			j.state = StateCheckpointed
 			j.restored = c
 			j.rounds.Store(c.Rounds())
@@ -504,11 +510,12 @@ func (s *Server) recover() error {
 	s.notes = notes
 	for _, r := range restored {
 		j := &job{
-			id:    r.id,
-			seq:   r.rec.Seq,
-			spec:  r.rec.Spec,
-			total: jobTotal(r.rec.Spec),
-			done:  make(chan struct{}),
+			id:       r.id,
+			seq:      r.rec.Seq,
+			spec:     r.rec.Spec,
+			total:    jobTotal(r.rec.Spec),
+			ckptSlot: noSlot,
+			done:     make(chan struct{}),
 		}
 		if r.rec.Seq >= s.seq {
 			s.seq = r.rec.Seq + 1
@@ -604,11 +611,12 @@ func (s *Server) Submit(spec Spec) (Status, bool, error) {
 		return Status{}, false, err
 	}
 	j := &job{
-		id:    id,
-		spec:  spec,
-		total: jobTotal(spec),
-		state: StateQueued,
-		done:  make(chan struct{}),
+		id:       id,
+		spec:     spec,
+		total:    jobTotal(spec),
+		state:    StateQueued,
+		ckptSlot: noSlot,
+		done:     make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -927,6 +935,7 @@ func (s *Server) finalize(j *job, res *Result) {
 	s.mu.Lock()
 	j.state = res.State
 	j.result = res
+	j.restored = nil // a job cancelled while parked never consumed it
 	submittedAt := j.submittedAt
 	s.mu.Unlock()
 	j.rounds.Store(res.Rounds)
@@ -961,21 +970,16 @@ func (s *Server) runCampaign(j *job) bool {
 	c := j.restored // rebuilt once by recover(); consume it
 	j.restored = nil
 	s.mu.Unlock()
-	resumed := c != nil
 	if c == nil {
-		if snap := s.store.readCheckpoint(j.id); snap != nil {
-			// A checkpoint that fails to restore is discarded, not
-			// fatal: the snapshot is a cache of a deterministic
-			// computation, so the honest response to damage is
-			// recomputing from round zero.
-			if restored, err := experiments.RestoreCampaign(snap); err == nil {
-				c = restored
-				resumed = true
-				j.rounds.Store(c.Rounds())
-				j.ckptRounds.Store(c.Rounds())
-			}
+		// A checkpoint that fails to restore is discarded, not fatal:
+		// the snapshot is a cache of a deterministic computation, so the
+		// honest response to damage is recomputing from round zero.
+		if c, _ = s.adoptCheckpoint(j); c != nil {
+			j.rounds.Store(c.Rounds())
+			j.ckptRounds.Store(c.Rounds())
 		}
 	}
+	resumed := c != nil
 	if resumed {
 		s.resumedJobs.Inc()
 	}
@@ -1048,12 +1052,49 @@ func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.Campaign) error 
 	if err != nil {
 		return err
 	}
-	if err := s.store.writeCheckpoint(j.id, snap); err != nil {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	return s.persistCheckpointLocked(j, snap.Encode(), c.Rounds())
+}
+
+// persistCheckpointLocked writes an encoded snapshot covering rounds to
+// the slot that does not hold j's last acknowledged checkpoint, then
+// acknowledges it. A failed write leaves the acknowledged slot and
+// ckptSlot untouched. The caller holds j.ckptMu.
+func (s *Server) persistCheckpointLocked(j *job, encoded []byte, rounds int64) error {
+	slot := nextSlot(j.ckptSlot)
+	if err := s.store.writeCheckpoint(j.id, slot, encoded); err != nil {
 		return err
 	}
+	j.ckptSlot = slot
+	j.ckptRounds.Store(rounds)
 	s.checkpointsWritten.Inc()
-	j.ckptRounds.Store(c.Rounds())
 	return nil
+}
+
+// adoptCheckpoint returns the campaign in j's last acknowledged
+// checkpoint, or nil when there is none. With a known slot it reads
+// that one slot; otherwise (recovery, or a job this process has not
+// checkpointed) it reads both, adopts the newest that restores, and
+// records its slot. err reports a checkpoint that decoded but did not
+// restore, which the job discards.
+func (s *Server) adoptCheckpoint(j *job) (*experiments.Campaign, error) {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	if j.ckptSlot == noSlot {
+		c, slot, err := s.store.recoverCheckpoint(j.id)
+		j.ckptSlot = slot
+		return c, err
+	}
+	snap := s.store.readCheckpoint(j.id, j.ckptSlot)
+	if snap == nil {
+		return nil, nil
+	}
+	c, err := experiments.RestoreCampaign(snap)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // runSweep executes one ablation grid through the shared memo cache.

@@ -258,7 +258,7 @@ func TestResultBeforeDoneConflictsAndCancelCheckpoints(t *testing.T) {
 	if res.State != StateCancelled {
 		t.Fatalf("state %s, want cancelled", res.State)
 	}
-	if snap := s.store.readCheckpoint(st.ID); snap == nil {
+	if snap := storedCheckpoint(s.store, st.ID); snap == nil {
 		t.Fatal("no checkpoint retained after checkpoint-on-cancel")
 	}
 	final, _ := s.StatusOf(st.ID)

@@ -1,19 +1,32 @@
-// The on-disk job store: one directory per job, every file written by
-// atomic rename, state derived from which files exist.
+// The on-disk job store: one directory per job, state derived from
+// which files exist.
 //
 // Layout, under the store root:
 //
-//	jobs/<id>/spec.json          the submission (plus its sequence number)
-//	jobs/<id>/checkpoint.aftckpt the campaign's latest snapshot (campaigns only)
-//	jobs/<id>/result.json        the terminal record (done/failed/cancelled)
-//	memo/                        the shared experiments.SweepCache
+//	jobs/<id>/spec.json            the submission (plus its sequence number)
+//	jobs/<id>/checkpoint.aftckpt   campaign checkpoint slot 0 (campaigns only)
+//	jobs/<id>/checkpoint.1.aftckpt campaign checkpoint slot 1 (campaigns only)
+//	jobs/<id>/result.json          the terminal record (done/failed/cancelled)
+//	memo/                          the shared experiments.SweepCache
 //
 // The files double as the state machine: spec without result is an
-// in-flight job (checkpointed if the snapshot file decodes, queued
+// in-flight job (checkpointed if a checkpoint slot restores, queued
 // otherwise), spec with result is terminal. There is deliberately no
 // separate status file to keep in sync — a crash can therefore never
 // leave the store self-contradictory, only slightly stale, and staleness
 // costs at most CheckpointEvery rounds of recomputation.
+//
+// Spec and result are written once each, by atomic rename
+// (checkpoint.WriteFileAtomic). Campaign checkpoints are rewritten
+// every chunk, so they take the cheaper path: two slot files,
+// overwritten in place (checkpoint.WriteFileInPlace) and alternately —
+// each write goes to the slot that does not hold the last acknowledged
+// checkpoint. A crash mid-overwrite tears only that slot, which then
+// fails the container CRC, while the other slot still holds the
+// acknowledged checkpoint; recovery reads both and resumes from the
+// newest that restores, so checkpoint_rounds never rewinds. Slot 0 keeps
+// the single-file name older stores used, so such a store is a store
+// whose slot 1 was never written.
 
 package jobs
 
@@ -25,6 +38,7 @@ import (
 	"sort"
 
 	"aft/internal/checkpoint"
+	"aft/internal/experiments"
 )
 
 // storedSpec is the on-disk form of a submission: the spec plus the
@@ -60,12 +74,28 @@ func (st *store) memoDir() string { return filepath.Join(st.dir, "memo") }
 // jobDir is the directory of one job.
 func (st *store) jobDir(id string) string { return filepath.Join(st.dir, "jobs", id) }
 
-// specPath, checkpointPath, and resultPath name a job's three files.
+// specPath names the submission record file.
 func (st *store) specPath(id string) string { return filepath.Join(st.jobDir(id), "spec.json") }
 
-// checkpointPath names the campaign snapshot file.
-func (st *store) checkpointPath(id string) string {
-	return filepath.Join(st.jobDir(id), "checkpoint.aftckpt")
+// checkpointSlots names the two campaign checkpoint slot files; slot 0
+// is the single-file name of older stores.
+var checkpointSlots = [2]string{"checkpoint.aftckpt", "checkpoint.1.aftckpt"}
+
+// noSlot marks a job with no acknowledged checkpoint slot.
+const noSlot = -1
+
+// nextSlot is the slot a checkpoint write goes to when acked holds the
+// last acknowledged checkpoint (noSlot: none): never acked itself.
+func nextSlot(acked int) int {
+	if acked == 0 {
+		return 1
+	}
+	return 0
+}
+
+// checkpointPath names one campaign checkpoint slot file.
+func (st *store) checkpointPath(id string, slot int) string {
+	return filepath.Join(st.jobDir(id), checkpointSlots[slot])
 }
 
 // resultPath names the terminal record file.
@@ -73,7 +103,7 @@ func (st *store) resultPath(id string) string { return filepath.Join(st.jobDir(i
 
 // writeSpec persists a new job's submission record.
 // checkpoint.WriteFileAtomic supplies the crash-safety discipline
-// (create parents, temp file, fsync, rename) for all three job files.
+// (create parents, temp file, fsync, rename) for spec and result.
 func (st *store) writeSpec(id string, rec storedSpec) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -107,22 +137,50 @@ func (st *store) readResult(id string) (*Result, error) {
 	return &res, nil
 }
 
-// readCheckpoint loads and verifies a job's campaign snapshot, or nil
-// when none exists. A corrupt or truncated snapshot is reported as
-// absent: the checkpoint layer's CRC catches the damage and the job
-// safely recomputes from round zero (or from the previous state the
-// rename preserved).
-func (st *store) readCheckpoint(id string) *checkpoint.Snapshot {
-	snap, err := checkpoint.ReadFile(st.checkpointPath(id))
+// readCheckpoint loads and verifies one checkpoint slot, or nil when
+// the slot is missing or fails the container CRC.
+func (st *store) readCheckpoint(id string, slot int) *checkpoint.Snapshot {
+	snap, err := checkpoint.ReadFile(st.checkpointPath(id, slot))
 	if err != nil {
 		return nil
 	}
 	return snap
 }
 
-// writeCheckpoint durably replaces a job's campaign snapshot.
-func (st *store) writeCheckpoint(id string, snap *checkpoint.Snapshot) error {
-	return snap.WriteFile(st.checkpointPath(id))
+// writeCheckpoint durably overwrites one checkpoint slot in place with
+// an encoded snapshot. The caller picks the slot with nextSlot, so the
+// slot overwritten never holds the last acknowledged checkpoint.
+func (st *store) writeCheckpoint(id string, slot int, encoded []byte) error {
+	return checkpoint.WriteFileInPlace(st.checkpointPath(id, slot), encoded)
+}
+
+// recoverCheckpoint reads both checkpoint slots of a campaign job and
+// returns the campaign in the newest snapshot that restores, by rounds,
+// with its slot. A slot that is missing, torn (fails the CRC), or
+// decodes but fails the campaign cross-checks loses to the other. When
+// neither restores, c is nil, slot is noSlot, and err reports a restore
+// failure if a slot decoded, so the job recomputes from round zero with
+// a recovery note.
+func (st *store) recoverCheckpoint(id string) (c *experiments.Campaign, slot int, err error) {
+	slot = noSlot
+	for s := range checkpointSlots {
+		snap := st.readCheckpoint(id, s)
+		if snap == nil {
+			continue
+		}
+		restored, rerr := experiments.RestoreCampaign(snap)
+		if rerr != nil {
+			err = rerr
+			continue
+		}
+		if c == nil || restored.Rounds() > c.Rounds() {
+			c, slot = restored, s
+		}
+	}
+	if c != nil {
+		err = nil
+	}
+	return c, slot, err
 }
 
 // restoredJob is one job recovered by scan.

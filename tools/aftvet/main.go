@@ -12,8 +12,9 @@
 //     the sanctioned source), and map iteration whose order can reach
 //     output without a sorted-keys guard;
 //   - atomicwrite — in persistence packages, forbids direct
-//     os.WriteFile/os.Create/os.Rename; durable writes go through
-//     checkpoint.WriteFileAtomic;
+//     os.WriteFile/os.Create/os.OpenFile/os.Rename; durable writes go
+//     through checkpoint.WriteFileAtomic, or checkpoint.WriteFileInPlace
+//     on a pair of alternating checksummed slots;
 //   - snapshotpair — a type exporting state (Snapshot/ExportState/
 //     State) must have the matching restore (Restore/RestoreState/
 //     SetState/Resume), and vice versa, so the checkpoint schema cannot
@@ -118,7 +119,7 @@ var analyzers = []*analyzer{
 	},
 	{
 		name:    "atomicwrite",
-		summary: "durable writes go through checkpoint.WriteFileAtomic in persistence packages",
+		summary: "durable writes go through checkpoint.WriteFileAtomic or WriteFileInPlace in persistence packages",
 		scope:   persistencePackages,
 		run:     runAtomicWrite,
 	},
